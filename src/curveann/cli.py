@@ -66,7 +66,6 @@ def _index_from_args(args):
         k=args.k,
         backend=args.backend,
         max_candidates=args.max_candidates,
-        threads=args.threads,
         query_lengths=args.lengths,
     )
 
@@ -162,7 +161,6 @@ def cmd_bench(args):
         k=args.k,
         backend=args.backend,
         max_candidates=args.max_candidates,
-        threads=args.threads,
     ).fit(curves)
 
     violations = false_pos = mismatches = 0
@@ -210,7 +208,6 @@ def _add_common(sp):
     sp.add_argument("--epsilon", type=float, default=1.0)
     sp.add_argument("--radius", type=float, required=True)
     sp.add_argument("--backend", choices=["hash", "trie"], default="hash")
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--max-candidates", type=int, default=10**8, dest="max_candidates")
 
 

@@ -17,6 +17,12 @@ over curves of length at most M therefore sizes its grid with
 ``N = max(M, L, M+L-2)``. Without an explicit N, ``create`` falls back to
 ``2*m_norm``, which covers inputs of length at most
 ``min(2*m_norm, m_norm + 2)``.
+
+One rule snaps a coordinate ``c`` to its lattice coordinate, and
+``snap_point`` and ``snap_curve`` share it: ``floor(c / edge + 0.5)`` in
+IEEE-754 double arithmetic, the nearest lattice point with halves rounded
+toward +inf. A coordinate with ``|c| > edge * 2**62`` is rejected with
+``ValueError``, which keeps lattice coordinates within signed 64 bits.
 """
 
 import dataclasses
@@ -86,23 +92,38 @@ class GridSpec:
         return dataclasses.replace(spec, pairs=pairs)
 
 
+def _snap_rows(rows, edge):
+    """Lattice key of ``rows``, a list of vertices given as lists of Python
+    floats: the snap rule of the module docstring, per coordinate."""
+    limit = edge * _COORD_LIMIT
+    floor = math.floor
+    key = []
+    for row in rows:
+        z = []
+        for c in row:
+            if abs(c) > limit:
+                raise ValueError("coordinate too large for this grid edge")
+            z.append(floor(c / edge + 0.5))
+        key.append(tuple(z))
+    return tuple(key)
+
+
 def snap_point(x, grid):
     """Nearest lattice point, per coordinate, rounding half toward +inf."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (grid.d,):
         raise DimensionMismatch(f"point has shape {x.shape}, grid is {grid.d}-dim")
-    out = []
-    for c in x:
-        if abs(c) > grid.edge * _COORD_LIMIT:
-            raise ValueError("coordinate too large for this grid edge")
-        out.append(math.floor(c / grid.edge + 0.5))
-    return tuple(out)
+    return _snap_rows([x.tolist()], grid.edge)[0]
 
 
 def snap_curve(C, grid):
     """Per-vertex snap; returns a lattice curve key (tuple of lattice points)."""
     pts = C.points if isinstance(C, geometry.Curve) else geometry.as_points(C)
-    return tuple(snap_point(v, grid) for v in pts)
+    if pts.shape[1] != grid.d:
+        raise DimensionMismatch(
+            f"curve has {pts.shape[1]}-dim vertices, grid is {grid.d}-dim"
+        )
+    return _snap_rows(pts.tolist(), grid.edge)
 
 
 def lattice_to_point(z, grid):

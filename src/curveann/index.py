@@ -19,7 +19,6 @@ Modes:
 import math
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,6 +50,20 @@ class QueryResult:
         return self.match is not None
 
 
+class _Results(dict):
+    """The ``QueryResult`` of each match, made on first use. Results are
+    immutable and the guarantee is fixed when an index is fitted or loaded,
+    so the queries with one match share one result."""
+
+    def __init__(self, guarantee):
+        super().__init__()
+        self.guarantee = guarantee
+
+    def __missing__(self, match):
+        res = self[match] = QueryResult(match, self.guarantee)
+        return res
+
+
 class CurveIndex:
     """Approximate near-neighbor / range-counting index for curves."""
 
@@ -64,7 +77,6 @@ class CurveIndex:
         backend="hash",
         query_lengths=None,
         max_candidates=candmod.DEFAULT_MAX_CANDIDATES,
-        threads=1,
     ):
         self.epsilon = epsilon
         self.r = r
@@ -74,14 +86,17 @@ class CurveIndex:
         self.backend = backend
         self.query_lengths = query_lengths
         self.max_candidates = max_candidates
-        self.threads = threads
 
     # -- estimator plumbing -------------------------------------------------
 
     _PARAM_NAMES = (
         "epsilon", "r", "metric", "mode", "k", "backend",
-        "query_lengths", "max_candidates", "threads",
+        "query_lengths", "max_candidates",
     )
+
+    # the method the fitted or loaded structure answers, "query" or
+    # "count"; None until fit or load publishes a structure
+    _serves = None
 
     def get_params(self, deep=True):
         return {name: getattr(self, name) for name in self._PARAM_NAMES}
@@ -115,7 +130,11 @@ class CurveIndex:
     # -- build --------------------------------------------------------------
 
     def fit(self, curves):
-        """Build the structure over ``curves`` (a sequence of Curve)."""
+        """Build the structure over ``curves`` (a sequence of Curve).
+
+        The new structure replaces the fitted one only when the build
+        succeeds: a build that raises leaves the index as it was.
+        """
         p = self._validated()
         curves = list(curves)
         if not curves:
@@ -128,45 +147,56 @@ class CurveIndex:
             raise ValueError("curve ids must be unique")
         d = dims.pop()
 
-        self._p = p
-        self._d = d
-        self.registry_ = {c.id: c for c in curves}
-        self._order = list(ids)
-        self.simplifications_ = {}
-        self.stats_ = {"lookups": 0, "candidates": {}, "dict_sizes": {}, "skipped": []}
-
-        lengths = self._build_lengths(curves)
+        simplifications = {}
+        stats = {"lookups": 0, "candidates": {}, "dict_sizes": {}, "skipped": []}
+        lengths = self._build_lengths(curves, p)
         longest = max(len(c) for c in curves)
-        self.grids_ = {L: self._grid_for(L, longest) for L in lengths}
+        grids = {L: self._grid_for(L, longest, d, p) for L in lengths}
         dict_mode = dictmod.MODE_COUNT if self.mode == "count" else dictmod.MODE_NN
-        self.dicts_ = {
+        dicts = {
             L: dictmod.make_dictionary(self.backend, dict_mode, out_len=L, d=d)
             for L in lengths
         }
-        self.owners_ = {L: {} for L in lengths} if dict_mode == dictmod.MODE_NN else None
+        owners = {L: {} for L in lengths} if dict_mode == dictmod.MODE_NN else None
 
         t0 = time.perf_counter()
         if self.mode == "asym":
             for c in curves:
                 pi = simpmod.simplify_curve(c.points, self.k, self.r, eps=1.0)
                 if pi is None:
-                    self.stats_["skipped"].append(c.id)
+                    stats["skipped"].append(c.id)
                 else:
-                    self.simplifications_[c.id] = pi
+                    simplifications[c.id] = pi
 
-        jobs = [(c, L) for c in curves for L in lengths]
-        results = self._enumerate_many(jobs)
-        for (c, L), keys in zip(jobs, results):
-            if keys is None:
-                continue
-            self.stats_["candidates"].setdefault(c.id, {})[L] = len(keys)
-            self._fold(L, c.id, keys)
+        for c in curves:
+            for L in lengths:
+                keys = self._candidates(c, L, grids[L], simplifications.get(c.id))
+                if keys is None:
+                    continue
+                stats["candidates"].setdefault(c.id, {})[L] = len(keys)
+                self._fold(dicts[L], owners and owners[L], c.id, keys)
         for L in lengths:
-            self.stats_["dict_sizes"][L] = len(self.dicts_[L])
-        self.stats_["build_seconds"] = time.perf_counter() - t0
+            stats["dict_sizes"][L] = len(dicts[L])
+        stats["build_seconds"] = time.perf_counter() - t0
+        self._publish(p, d, {c.id: c for c in curves}, ids, grids, dicts, owners,
+                      simplifications, stats)
         return self
 
-    def _build_lengths(self, curves):
+    def _publish(self, p, d, registry, order, grids, dicts, owners, simplifications, stats):
+        """Make a built or loaded structure the one this index answers from."""
+        self._p = p
+        self._d = d
+        self.registry_ = registry
+        self._order = order
+        self.grids_ = grids
+        self.dicts_ = dicts
+        self.owners_ = owners
+        self.simplifications_ = simplifications
+        self.stats_ = stats
+        self._results = _Results(self.guarantee)
+        self._serves = "count" if self.mode == "count" else "query"
+
+    def _build_lengths(self, curves, p):
         if self.mode == "asym":
             return [self.k]
         if self.query_lengths is not None:
@@ -174,62 +204,54 @@ class CurveIndex:
             if any(L < 1 for L in lengths):
                 raise ValueError("query lengths must be >= 1")
             return lengths
-        if self._p == geometry.DFD:
+        if p == geometry.DFD:
             return sorted({len(c) for c in curves})
         return [max(len(c) for c in curves)]
 
-    def _grid_for(self, L, longest):
+    def _grid_for(self, L, longest, d, p):
         """Grid for length-L queries over inputs of length at most ``longest``."""
         return gridmod.GridSpec.create(
-            self.epsilon, self.r, self._d, self._p, m_norm=L,
+            self.epsilon, self.r, d, p, m_norm=L,
             pairs=geometry.max_non_redundant_pairs(longest, L),
         )
 
-    def _request(self, curve, L):
-        """Candidate request for one input curve at query length L, or None."""
+    def _candidates(self, curve, L, grid, pi):
+        """Candidate keys of one input curve for length-L queries on
+        ``grid``; None for a curve that the asymmetric mode skips, which
+        has no simplification ``pi``."""
         if self.mode == "asym":
-            pi = self.simplifications_.get(curve.id)
             if pi is None:
                 return None
-            return candmod.CandidateRequest(
+            req = candmod.CandidateRequest(
                 anchor=geometry.Curve(curve.id, pi),
                 out_len=L,
                 enum_radius=4 * self.r,
-                grid=self.grids_[L],
-                p=self._p,
+                grid=grid,
+                p=grid.p,
                 filter_curve=curve,
                 filter_radius=(1 + self.epsilon / 2) * self.r,
                 max_candidates=self.max_candidates,
             )
-        return candmod.CandidateRequest(
-            anchor=curve,
-            out_len=L,
-            enum_radius=(1 + self.epsilon / 2) * self.r,
-            grid=self.grids_[L],
-            p=self._p,
-            max_candidates=self.max_candidates,
-        )
-
-    def _enumerate_one(self, job):
-        curve, L = job
-        req = self._request(curve, L)
-        if req is None:
-            return None
+        else:
+            req = candmod.CandidateRequest(
+                anchor=curve,
+                out_len=L,
+                enum_radius=(1 + self.epsilon / 2) * self.r,
+                grid=grid,
+                p=grid.p,
+                max_candidates=self.max_candidates,
+            )
         return candmod.enumerate_candidates(req)
 
-    def _enumerate_many(self, jobs):
-        if self.threads and self.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                return list(pool.map(self._enumerate_one, jobs))
-        return [self._enumerate_one(job) for job in jobs]
+    def _enumerate_one(self, curve, L):
+        """``_candidates`` on the published structure."""
+        return self._candidates(curve, L, self.grids_[L], self.simplifications_.get(curve.id))
 
-    def _fold(self, L, curve_id, keys):
-        dct = self.dicts_[L]
+    def _fold(self, dct, owners, curve_id, keys):
         if self.mode == "count":
             for key in keys:
                 dct.increment(key)
         else:
-            owners = self.owners_[L]
             for key in keys:
                 dct.insert_first_wins(key, curve_id)
                 owners.setdefault(key, []).append(curve_id)
@@ -237,27 +259,32 @@ class CurveIndex:
     # -- queries ------------------------------------------------------------
 
     def _check_fitted(self):
-        if not hasattr(self, "dicts_"):
+        if self._serves is None:
             raise RuntimeError("index is not fitted; call fit() first")
+
+    def _refuse(self, method):
+        """Raise the error of calling ``method``, which this index does not serve."""
+        self._check_fitted()
+        if method == "query":
+            raise ModeMismatch("query() is for near-neighbor modes; use count()")
+        raise ModeMismatch("count() requires the counting mode")
 
     def _snap(self, Q):
         L = len(Q)
-        if L not in self.dicts_:
+        grid = self.grids_.get(L)
+        if grid is None:
             raise UnsupportedLength(
                 f"query length {L} not supported (built for {sorted(self.dicts_)})"
             )
-        if Q.dim != self._d:
-            raise DimensionMismatch(f"query dimension {Q.dim} != index dimension {self._d}")
-        return L, gridmod.snap_curve(Q, self.grids_[L])
+        return L, gridmod.snap_curve(Q, grid)
 
     def query(self, Q):
         """One snap and one dictionary lookup; never a false positive."""
-        self._check_fitted()
-        if self.mode == "count":
-            raise ModeMismatch("query() is for near-neighbor modes; use count()")
+        if self._serves != "query":
+            self._refuse("query")
         L, key = self._snap(Q)
         self.stats_["lookups"] += 1
-        return QueryResult(self.dicts_[L].lookup(key), self.guarantee)
+        return self._results[self.dicts_[L].lookup(key)]
 
     def predict(self, queries):
         return [self.query(Q) for Q in queries]
@@ -265,9 +292,8 @@ class CurveIndex:
     def count(self, Q):
         """Stored count at the snapped key; sandwiched between the exact
         counts at radius r and (1 + eps) r."""
-        self._check_fitted()
-        if self.mode != "count":
-            raise ModeMismatch("count() requires the counting mode")
+        if self._serves != "count":
+            self._refuse("count")
         L, key = self._snap(Q)
         self.stats_["lookups"] += 1
         return self.dicts_[L].lookup(key) or 0
@@ -280,7 +306,8 @@ class CurveIndex:
         For finite p, a curve whose alignments with some supported query
         length can have more pairs than the grid was sized for is rejected
         with ``UnsupportedLength``: the grid would not bound its snapping
-        error.
+        error. All candidate sets are enumerated before the index changes,
+        so an insert that raises leaves the index as it was.
         """
         self._check_fitted()
         if curve.id in self.registry_:
@@ -289,18 +316,20 @@ class CurveIndex:
             raise DimensionMismatch("curve dimension mismatch")
         self._check_pair_bound(curve)
         self._ensure_owners()
+        pi = None
         if self.mode == "asym":
             pi = simpmod.simplify_curve(curve.points, self.k, self.r, eps=1.0)
+        keys = {L: self._candidates(curve, L, g, pi) for L, g in self.grids_.items()}
+        if self.mode == "asym":
             if pi is None:
                 self.stats_["skipped"].append(curve.id)
             else:
                 self.simplifications_[curve.id] = pi
         self.registry_[curve.id] = curve
         self._order.append(curve.id)
-        for L in self.dicts_:
-            keys = self._enumerate_one((curve, L))
-            if keys is not None:
-                self._fold(L, curve.id, keys)
+        for L, found in keys.items():
+            if found is not None:
+                self._fold(self.dicts_[L], self.owners_ and self.owners_[L], curve.id, found)
 
     def _check_pair_bound(self, curve):
         for L, g in self.grids_.items():
@@ -320,7 +349,7 @@ class CurveIndex:
         if curve is None:
             raise KeyError(f"unknown curve id {curve_id!r}")
         for L in self.dicts_:
-            keys = self._enumerate_one((curve, L))
+            keys = self._enumerate_one(curve, L)
             if keys is None:
                 continue
             dct = self.dicts_[L]
@@ -338,6 +367,7 @@ class CurveIndex:
                     elif dct.lookup(key) == curve_id:
                         dct.replace(key, lst[0])
         del self.registry_[curve_id]
+        self._results.pop(curve_id, None)
         self._order.remove(curve_id)
         self.simplifications_.pop(curve_id, None)
         if curve_id in self.stats_["skipped"]:
@@ -425,35 +455,34 @@ class CurveIndex:
             k=h0.out_len if mode == "asym" else None,
             backend=backend,
         )
-        idx._p = h0.p
-        idx._d = h0.d
-        idx.registry_ = registry
-        idx._order = order
-        idx.simplifications_ = {}
-        idx.grids_ = {}
-        idx.dicts_ = {}
+        grids = {}
+        dicts = {}
         for h, dct in blocks:
             try:
-                idx.grids_[h.out_len] = gridmod.GridSpec.from_edge(
+                grids[h.out_len] = gridmod.GridSpec.from_edge(
                     h.edge, h.epsilon, h.r, h.d, h.p,
                     m_norm=h.out_len if h.p != geometry.DFD else 1,
                 )
             except ValueError as exc:
                 raise CorruptFile(f"block for length {h.out_len}: {exc}") from exc
-            idx.dicts_[h.out_len] = dct
+            dicts[h.out_len] = dct
+        idx._publish(
+            h0.p, h0.d, registry, order, grids, dicts,
+            owners=None if mode == "count" else {L: None for L in dicts},
+            simplifications={},
+            stats={
+                "lookups": 0,
+                "candidates": {},
+                "dict_sizes": {L: len(dct) for L, dct in dicts.items()},
+                "skipped": [],
+            },
+        )
         if registry:
             # a grid too coarse for the stored curves cannot keep the guarantee
             try:
                 idx._check_pair_bound(max(registry.values(), key=len))
             except UnsupportedLength as exc:
                 raise FormatError(f"index must be rebuilt: {exc}") from exc
-        idx.owners_ = None if mode == "count" else {L: None for L in idx.dicts_}
-        idx.stats_ = {
-            "lookups": 0,
-            "candidates": {},
-            "dict_sizes": {L: len(dct) for L, dct in idx.dicts_.items()},
-            "skipped": [],
-        }
         return idx
 
     def _ensure_owners(self):
@@ -473,7 +502,7 @@ class CurveIndex:
         for L in self.dicts_:
             owners = {}
             for cid in self._order:
-                keys = self._enumerate_one((self.registry_[cid], L))
+                keys = self._enumerate_one(self.registry_[cid], L)
                 if keys is None:
                     continue
                 for key in keys:

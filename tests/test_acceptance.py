@@ -196,12 +196,16 @@ def test_criterion_02_asymmetric_suite():
             built = True
         except CapacityExceeded:
             built = False
-        # only curves with a k-vertex simplification have keys to store
-        kept = [c for c in curves if c.id in idx.simplifications_]
+        # only curves with a k-vertex simplification have keys to store; a
+        # build stopped by the guard keeps no state, so the curves are
+        # simplified here with the index's parameters
+        kept = [c for c in curves if simplify.simplify_curve(c.points, k, r, eps=1.0) is not None]
         bounds = key_bounds(kept, k, eps, r, proven_edge(math.inf, k, m, d, eps, r), math.inf)
         if not built:
             blocked.append((f"k={k} d={d} eps={eps}", max(bounds.values(), default=0)))
             continue
+        if set(idx.simplifications_) != set(bounds):
+            bad_simplifications += 1
         violations += short_key_sets(idx, bounds, k)
         for cid, pi in idx.simplifications_.items():
             if geometry.distance(idx.registry_[cid].points, pi, math.inf) > 2 * r + DIST_TOL:

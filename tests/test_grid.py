@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curveann import grid
+from curveann import geometry, grid
 from curveann.errors import DimensionMismatch
 
 
@@ -139,3 +139,73 @@ def test_overflow_rejected():
     g = make_grid(1e-3)
     with pytest.raises(ValueError):
         grid.snap_point([1e19], g)
+
+
+def reference_snap(points, g):
+    """Lattice key by the original per-coordinate numpy snap, kept as the
+    reference the snap rule must reproduce exactly."""
+    key = []
+    for v in points:
+        x = np.atleast_1d(np.asarray(v, dtype=float))
+        if x.shape != (g.d,):
+            raise DimensionMismatch(f"point has shape {x.shape}, grid is {g.d}-dim")
+        out = []
+        for c in x:
+            if abs(c) > g.edge * 2**62:
+                raise ValueError("coordinate too large for this grid edge")
+            out.append(math.floor(c / g.edge + 0.5))
+        key.append(tuple(out))
+    return tuple(key)
+
+
+def awkward_coordinates(rng, shape, edge):
+    """Random coordinates mixed with the values where rounding is decided:
+    half-lattice positions and their neighbouring doubles, -0.0, and values
+    at and just inside the coordinate limit."""
+    limit = edge * 2**62
+    z = int(rng.integers(-1000, 1000))
+    half = (z + 0.5) * edge
+    special = [half, np.nextafter(half, -np.inf), np.nextafter(half, np.inf), -0.0,
+               limit, -limit, np.nextafter(limit, 0.0), -np.nextafter(limit, 0.0)]
+    pts = rng.uniform(-50, 50, size=shape)
+    pick = rng.random(shape) < 0.5
+    pts[pick] = rng.choice(special, size=int(pick.sum()))
+    return pts
+
+
+@pytest.mark.parametrize("p", [math.inf, 1.0, 2.0])
+def test_snap_matches_the_reference_bit_for_bit(p):
+    rng = np.random.default_rng(26)
+    for d in range(1, 5):
+        for m in range(1, 13):
+            for eps, r in ((1.0, 1.0), (0.5, 0.7), (0.25, 3.0)):
+                g = grid.GridSpec.create(eps, r, d, p, m_norm=m,
+                                         pairs=None if p == math.inf else 2 * m + 1)
+                pts = awkward_coordinates(rng, (m, d), g.edge)
+                want = reference_snap(pts, g)
+                assert grid.snap_curve(geometry.Curve("c", pts), g) == want
+                assert grid.snap_curve(pts.tolist(), g) == want
+                assert tuple(grid.snap_point(v, g) for v in pts) == want
+                assert tuple(grid.snap_point(v.tolist(), g) for v in pts) == want
+
+
+def test_snap_rejects_coordinates_beyond_the_limit_and_wrong_dimensions():
+    g = grid.GridSpec.create(0.5, 1.0, 2, math.inf)
+    beyond = np.nextafter(g.edge * 2**62, np.inf)
+    for c in (beyond, -beyond):
+        pts = np.array([[0.0, 0.0], [1.0, c]])
+        with pytest.raises(ValueError):
+            reference_snap(pts, g)
+        with pytest.raises(ValueError):
+            grid.snap_curve(geometry.Curve("c", pts), g)
+        with pytest.raises(ValueError):
+            grid.snap_curve(pts.tolist(), g)
+        with pytest.raises(ValueError):
+            grid.snap_point(pts[1], g)
+    for pts in ([[0.0], [1.0]], [[0.0, 0.0, 0.0]]):
+        with pytest.raises(DimensionMismatch):
+            grid.snap_curve(geometry.Curve("c", pts), g)
+        with pytest.raises(DimensionMismatch):
+            grid.snap_curve(pts, g)
+        with pytest.raises(DimensionMismatch):
+            grid.snap_point(pts[0], g)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from curveann import CurveIndex, geometry, grid, oracle
-from curveann.errors import DimensionMismatch, FormatError, ModeMismatch, UnsupportedLength
+from curveann.errors import (
+    CapacityExceeded,
+    DimensionMismatch,
+    FormatError,
+    ModeMismatch,
+    UnsupportedLength,
+)
 
 Curve = geometry.Curve
 
@@ -182,6 +188,76 @@ def test_one_lookup_per_query():
     for j in range(25):
         idx.query(Curve(f"q{j}", rng.uniform(-5, 5, size=(2, 1))))
     assert idx.stats_["lookups"] == before + 25
+    idx.predict([Curve(f"p{j}", rng.uniform(-5, 5, size=(2, 1))) for j in range(25)])
+    assert idx.stats_["lookups"] == before + 50
+
+
+def test_predict_equals_a_query_loop():
+    rng = np.random.default_rng(83)
+    curves = dataset(rng, 4, 3, 1)
+    idx = CurveIndex(epsilon=1.0, r=1.0, metric=math.inf, query_lengths=[1, 2, 3]).fit(curves)
+    queries = []
+    for j in range(60):
+        L = 1 + j % 3
+        base = curves[j % 4].points[:L]
+        shift = rng.uniform(-0.4, 0.4) if j % 2 else rng.uniform(5, 30)
+        queries.append(Curve(f"q{j}", base + shift))
+
+    def answers_and_lookups(answer):
+        before = idx.stats_["lookups"]
+        return answer(), idx.stats_["lookups"] - before
+
+    looped = answers_and_lookups(lambda: [idx.query(q) for q in queries])
+    assert answers_and_lookups(lambda: idx.predict(queries)) == looped
+    assert any(res.found for res in looped[0]) and not all(res.found for res in looped[0])
+
+    for bad, error in ((Curve("long", np.zeros((4, 1))), UnsupportedLength),
+                       (Curve("wide", np.zeros((2, 2))), DimensionMismatch)):
+        batch = queries[:7] + [bad] + queries[7:]
+        raised = []
+        for run in (lambda: [idx.query(q) for q in batch], lambda: idx.predict(batch)):
+            before = idx.stats_["lookups"]
+            with pytest.raises(error):
+                run()
+            raised.append(idx.stats_["lookups"] - before)
+        assert raised == [7, 7]
+
+    with pytest.raises(RuntimeError):
+        CurveIndex().predict(queries)
+    counting = CurveIndex(epsilon=1.0, r=1.0, mode="count").fit(curves)
+    with pytest.raises(ModeMismatch):
+        counting.predict(queries[:1])
+
+
+def test_a_failed_build_leaves_the_index_as_it_was():
+    """A point at 0.5 has 4 lattice points within 1.5 on the unit grid and
+    one at 0.0 has 3, so max_candidates=3 stops a fit or insert at curve x."""
+    q = Curve("q", [[0.0]])
+    fresh = CurveIndex(epsilon=1.0, r=1.0, max_candidates=3)
+    with pytest.raises(CapacityExceeded):
+        fresh.fit([Curve("a", [[0.0]]), Curve("x", [[10.5]])])
+    with pytest.raises(RuntimeError):
+        fresh.query(q)
+    with pytest.raises(RuntimeError):
+        fresh.predict([q])
+
+    idx = CurveIndex(epsilon=1.0, r=1.0, max_candidates=3).fit([Curve("a", [[0.0]])])
+    entries = dict(idx.dicts_[1].items())
+    with pytest.raises(CapacityExceeded):
+        idx.fit([Curve("b", [[5.0]]), Curve("x", [[10.5]])])
+    assert idx.query(q).match == "a"
+    assert not idx.query(Curve("q", [[5.0]])).found
+    assert dict(idx.dicts_[1].items()) == entries
+    assert list(idx.registry_) == ["a"]
+
+    with pytest.raises(CapacityExceeded):
+        idx.insert_curve(Curve("x", [[10.5]]))
+    assert "x" not in idx.registry_
+    assert dict(idx.dicts_[1].items()) == entries
+    idx.insert_curve(Curve("b", [[5.0]]))
+    idx.delete_curve("a")
+    assert idx.query(Curve("q", [[5.0]])).match == "b"
+    assert not idx.query(q).found
 
 
 def test_insert_then_delete_restores_empty():
@@ -281,14 +357,6 @@ def test_dynamic_updates_after_load(tmp_path):
     got = {k for k, _ in loaded.dicts_[2].items()}
     want = {k for k, _ in fresh.dicts_[2].items()}
     assert got == want
-
-
-def test_parallel_build_matches_serial():
-    rng = np.random.default_rng(81)
-    curves = dataset(rng, 8, 3, 1)
-    serial = CurveIndex(epsilon=1.0, r=1.0, metric=math.inf, threads=1).fit(curves)
-    parallel = CurveIndex(epsilon=1.0, r=1.0, metric=math.inf, threads=4).fit(curves)
-    assert serial.dicts_[3].items() == parallel.dicts_[3].items()
 
 
 def test_dtw_short_queries_keep_the_guarantee():
