@@ -16,7 +16,6 @@ alignment DP admits it, which is the same decision as
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -34,8 +33,6 @@ class CandidateRequest:
     enum_radius: float
     grid: gridmod.GridSpec
     p: float = DFD
-    filter_curve: Optional[geometry.Curve] = None
-    filter_radius: Optional[float] = None
     max_candidates: int = DEFAULT_MAX_CANDIDATES
 
     def __post_init__(self):
@@ -43,8 +40,6 @@ class CandidateRequest:
             raise ValueError("out_len must be >= 1")
         if self.enum_radius <= 0:
             raise ValueError("enum_radius must be positive")
-        if (self.filter_curve is None) != (self.filter_radius is None):
-            raise ValueError("filter_curve and filter_radius go together")
 
 
 def vertex_pool(anchor, radius, grid):
@@ -63,40 +58,20 @@ def enumerate_candidates(req):
     return enumerate_lp(req)
 
 
-def _anchor_arrays(req):
-    anchor = req.anchor.points if isinstance(req.anchor, geometry.Curve) else geometry.as_points(req.anchor)
-    filt = None
-    if req.filter_curve is not None:
-        filt = (
-            req.filter_curve.points
-            if isinstance(req.filter_curve, geometry.Curve)
-            else geometry.as_points(req.filter_curve)
-        )
-    return anchor, filt
-
-
-def _pool_and_dists(req, anchor, filt):
-    """Candidate vertex pool and its distance tables to the anchor (and filter).
+def _pool_and_dists(req):
+    """The anchor's points, the candidate vertex pool and its distance table
+    to the anchor.
 
     Any vertex of a candidate within the enumeration radius must lie within
     that radius of some anchor vertex (each candidate vertex is matched to at
     least one anchor vertex, and no matched pair can exceed the total cost).
-    The same holds for the filter curve at the filter radius, so the pool is
-    the intersection of the two conditions.
     """
+    anchor = req.anchor.points if isinstance(req.anchor, geometry.Curve) else geometry.as_points(req.anchor)
     pool = vertex_pool(anchor, req.enum_radius, req.grid)
     if not pool:
-        return [], None, None
+        return anchor, [], None
     phys = np.asarray(pool, dtype=float) * req.grid.edge
-    adist = geometry.pairwise_dists(phys, anchor)
-    fdist = None
-    if filt is not None:
-        fdist = geometry.pairwise_dists(phys, filt)
-        near = (fdist <= req.filter_radius).any(axis=1)
-        pool = [pt for pt, ok in zip(pool, near) if ok]
-        adist = adist[near]
-        fdist = fdist[near]
-    return pool, adist, fdist
+    return anchor, pool, geometry.pairwise_dists(phys, anchor)
 
 
 def _guard(req, count):
@@ -130,19 +105,12 @@ def enumerate_dfd(req):
     """All grid curves of the requested length within the min-max radius."""
     if req.p != DFD:
         raise ModeMismatch("enumerate_dfd requires the min-max metric")
-    anchor, filt = _anchor_arrays(req)
-    pool, adist, fdist = _pool_and_dists(req, anchor, filt)
+    anchor, pool, adist = _pool_and_dists(req)
     if not pool:
         return []
     m = anchor.shape[0]
     amask = [int(sum(1 << i for i in range(m) if adist[idx, i] <= req.enum_radius))
              for idx in range(len(pool))]
-    fmask = None
-    mf = 0
-    if filt is not None:
-        mf = filt.shape[0]
-        fmask = [int(sum(1 << i for i in range(mf) if fdist[idx, i] <= req.filter_radius))
-                 for idx in range(len(pool))]
 
     by_anchor_bit = [[] for _ in range(m)]
     for idx, mask in enumerate(amask):
@@ -163,33 +131,26 @@ def enumerate_dfd(req):
         return got
 
     out = []
-    goal_a = 1 << (m - 1)
-    goal_f = 1 << (mf - 1) if filt is not None else 0
+    goal = 1 << (m - 1)
     prefix = [None] * req.out_len
 
-    def rec(j, S_a, S_f):
+    def rec(j, S):
         first = j == 0
-        idxs = range(len(pool)) if first else viable(S_a | (S_a << 1))
+        idxs = range(len(pool)) if first else viable(S | (S << 1))
         last = j == req.out_len - 1
         for idx in idxs:
-            Sa2 = _step_mask(S_a, amask[idx], first)
-            if not Sa2:
+            S2 = _step_mask(S, amask[idx], first)
+            if not S2:
                 continue
-            if fmask is not None:
-                Sf2 = _step_mask(S_f, fmask[idx], first)
-                if not Sf2:
-                    continue
-            else:
-                Sf2 = 0
             prefix[j] = pool[idx]
             if last:
-                if Sa2 & goal_a and (fmask is None or Sf2 & goal_f):
+                if S2 & goal:
                     out.append(tuple(prefix))
                     _guard(req, len(out))
             else:
-                rec(j + 1, Sa2, Sf2)
+                rec(j + 1, S2)
 
-    rec(0, 0, 0)
+    rec(0, 0)
     return out
 
 
@@ -201,10 +162,7 @@ def enumerate_lp(req):
     """All grid curves of the requested length within the finite-p radius."""
     if req.p == DFD:
         raise ModeMismatch("enumerate_lp requires a finite metric exponent")
-    anchor, filt = _anchor_arrays(req)
-    if filt is not None:
-        raise ModeMismatch("filtering is defined for the min-max metric only")
-    pool, adist, _ = _pool_and_dists(req, anchor, filt)
+    anchor, pool, adist = _pool_and_dists(req)
     if not pool:
         return []
     m = anchor.shape[0]

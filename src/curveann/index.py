@@ -10,10 +10,10 @@ Modes:
                curve whose candidate set produced it.
 * ``count`` -- range counting: each stored key counts the input curves
                whose candidate sets produced it.
-* ``asym``  -- near-neighbor for short queries of fixed length k: inputs
-               are first simplified, candidates are generated within 4r of
-               the simplification and filtered to (1 + eps/2) r of the
-               original curve.
+* ``asym``  -- near-neighbor for short queries of fixed length k: each
+               input stores the length-k grid curves within (1 + eps/2) r
+               of it. An input with no k-vertex simplification within 2r
+               has no curve of length k within r, and stores nothing.
 """
 
 import math
@@ -102,10 +102,14 @@ class CurveIndex:
         return {name: getattr(self, name) for name in self._PARAM_NAMES}
 
     def set_params(self, **params):
-        for name, value in params.items():
+        """Change parameters. A fitted or loaded structure was built for the
+        old ones, so it is dropped: the index must be fitted again."""
+        for name in params:
             if name not in self._PARAM_NAMES:
                 raise ValueError(f"unknown parameter {name!r}")
+        for name, value in params.items():
             setattr(self, name, value)
+        self._serves = None
         return self
 
     @property
@@ -147,8 +151,6 @@ class CurveIndex:
             raise ValueError("curve ids must be unique")
         d = dims.pop()
 
-        simplifications = {}
-        stats = {"lookups": 0, "candidates": {}, "dict_sizes": {}, "skipped": []}
         lengths = self._build_lengths(curves, p)
         longest = max(len(c) for c in curves)
         grids = {L: self._grid_for(L, longest, d, p) for L in lengths}
@@ -160,19 +162,11 @@ class CurveIndex:
         owners = {L: {} for L in lengths} if dict_mode == dictmod.MODE_NN else None
 
         t0 = time.perf_counter()
-        if self.mode == "asym":
-            for c in curves:
-                pi = simpmod.simplify_curve(c.points, self.k, self.r, eps=1.0)
-                if pi is None:
-                    stats["skipped"].append(c.id)
-                else:
-                    simplifications[c.id] = pi
-
-        for c in curves:
+        kept, simplifications, skipped = self._simplify(curves)
+        stats = {"lookups": 0, "candidates": {}, "dict_sizes": {}, "skipped": skipped}
+        for c in kept:
             for L in lengths:
-                keys = self._candidates(c, L, grids[L], simplifications.get(c.id))
-                if keys is None:
-                    continue
+                keys = self._candidates(c, L, grids[L])
                 stats["candidates"].setdefault(c.id, {})[L] = len(keys)
                 self._fold(dicts[L], owners and owners[L], c.id, keys)
         for L in lengths:
@@ -215,37 +209,38 @@ class CurveIndex:
             pairs=geometry.max_non_redundant_pairs(longest, L),
         )
 
-    def _candidates(self, curve, L, grid, pi):
-        """Candidate keys of one input curve for length-L queries on
-        ``grid``; None for a curve that the asymmetric mode skips, which
-        has no simplification ``pi``."""
-        if self.mode == "asym":
-            if pi is None:
-                return None
-            req = candmod.CandidateRequest(
-                anchor=geometry.Curve(curve.id, pi),
-                out_len=L,
-                enum_radius=4 * self.r,
-                grid=grid,
-                p=grid.p,
-                filter_curve=curve,
-                filter_radius=(1 + self.epsilon / 2) * self.r,
-                max_candidates=self.max_candidates,
-            )
-        else:
-            req = candmod.CandidateRequest(
-                anchor=curve,
-                out_len=L,
-                enum_radius=(1 + self.epsilon / 2) * self.r,
-                grid=grid,
-                p=grid.p,
-                max_candidates=self.max_candidates,
-            )
-        return candmod.enumerate_candidates(req)
+    def _simplify(self, curves):
+        """Split ``curves`` into those that store keys and those that do not.
 
-    def _enumerate_one(self, curve, L):
-        """``_candidates`` on the published structure."""
-        return self._candidates(curve, L, self.grids_[L], self.simplifications_.get(curve.id))
+        Returns the curves that store keys, their k-vertex simplifications
+        by id, and the ids of the others, in input order. In the asymmetric
+        mode a curve with no k-vertex simplification within 2r has no
+        length-k curve within r, so it stores nothing. In the other modes
+        every curve stores keys and nothing is simplified.
+        """
+        if self.mode != "asym":
+            return list(curves), {}, []
+        kept, simplifications, skipped = [], {}, []
+        for c in curves:
+            pi = simpmod.simplify_curve(c.points, self.k, self.r, eps=1.0)
+            if pi is None:
+                skipped.append(c.id)
+            else:
+                kept.append(c)
+                simplifications[c.id] = pi
+        return kept, simplifications, skipped
+
+    def _candidates(self, curve, L, grid):
+        """Candidate keys of one input curve for length-L queries on ``grid``."""
+        req = candmod.CandidateRequest(
+            anchor=curve,
+            out_len=L,
+            enum_radius=(1 + self.epsilon / 2) * self.r,
+            grid=grid,
+            p=grid.p,
+            max_candidates=self.max_candidates,
+        )
+        return candmod.enumerate_candidates(req)
 
     def _fold(self, dct, owners, curve_id, keys):
         if self.mode == "count":
@@ -255,6 +250,22 @@ class CurveIndex:
             for key in keys:
                 dct.insert_first_wins(key, curve_id)
                 owners.setdefault(key, []).append(curve_id)
+
+    def _unfold(self, dct, owners, curve_id, keys):
+        """Undo ``_fold``: a key that loses its owner passes to the next
+        curve, in insertion order, that stored it."""
+        if self.mode == "count":
+            for key in keys:
+                dct.decrement(key)
+        else:
+            for key in keys:
+                lst = owners[key]
+                lst.remove(curve_id)
+                if not lst:
+                    del owners[key]
+                    dct.remove(key)
+                elif dct.lookup(key) == curve_id:
+                    dct.replace(key, lst[0])
 
     # -- queries ------------------------------------------------------------
 
@@ -316,20 +327,14 @@ class CurveIndex:
             raise DimensionMismatch("curve dimension mismatch")
         self._check_pair_bound(curve)
         self._ensure_owners()
-        pi = None
-        if self.mode == "asym":
-            pi = simpmod.simplify_curve(curve.points, self.k, self.r, eps=1.0)
-        keys = {L: self._candidates(curve, L, g, pi) for L, g in self.grids_.items()}
-        if self.mode == "asym":
-            if pi is None:
-                self.stats_["skipped"].append(curve.id)
-            else:
-                self.simplifications_[curve.id] = pi
+        kept, simplifications, skipped = self._simplify([curve])
+        keys = {L: self._candidates(curve, L, g) for L, g in self.grids_.items()} if kept else {}
+        self.simplifications_.update(simplifications)
+        self.stats_["skipped"] += skipped
         self.registry_[curve.id] = curve
         self._order.append(curve.id)
         for L, found in keys.items():
-            if found is not None:
-                self._fold(self.dicts_[L], self.owners_ and self.owners_[L], curve.id, found)
+            self._fold(self.dicts_[L], self.owners_ and self.owners_[L], curve.id, found)
 
     def _check_pair_bound(self, curve):
         for L, g in self.grids_.items():
@@ -344,34 +349,21 @@ class CurveIndex:
     def delete_curve(self, curve_id):
         """Remove one curve, re-deriving its candidate contributions."""
         self._check_fitted()
-        self._ensure_owners()
         curve = self.registry_.get(curve_id)
         if curve is None:
             raise KeyError(f"unknown curve id {curve_id!r}")
-        for L in self.dicts_:
-            keys = self._enumerate_one(curve, L)
-            if keys is None:
-                continue
-            dct = self.dicts_[L]
-            if self.mode == "count":
-                for key in keys:
-                    dct.decrement(key)
-            else:
-                owners = self.owners_[L]
-                for key in keys:
-                    lst = owners[key]
-                    lst.remove(curve_id)
-                    if not lst:
-                        del owners[key]
-                        dct.remove(key)
-                    elif dct.lookup(key) == curve_id:
-                        dct.replace(key, lst[0])
+        self._ensure_owners()
+        skipped = self.stats_["skipped"]
+        if curve_id in skipped:
+            skipped.remove(curve_id)  # it stored no keys
+        else:
+            for L, dct in self.dicts_.items():
+                self._unfold(dct, self.owners_ and self.owners_[L], curve_id,
+                             self._candidates(curve, L, self.grids_[L]))
         del self.registry_[curve_id]
         self._results.pop(curve_id, None)
         self._order.remove(curve_id)
         self.simplifications_.pop(curve_id, None)
-        if curve_id in self.stats_["skipped"]:
-            self.stats_["skipped"].remove(curve_id)
 
     # -- persistence --------------------------------------------------------
 
@@ -491,20 +483,12 @@ class CurveIndex:
             return
         if all(v is not None for v in self.owners_.values()):
             return
-        if self.mode == "asym":
-            for cid in self._order:
-                c = self.registry_[cid]
-                pi = simpmod.simplify_curve(c.points, self.k, self.r, eps=1.0)
-                if pi is not None:
-                    self.simplifications_[cid] = pi
-                elif cid not in self.stats_["skipped"]:
-                    self.stats_["skipped"].append(cid)
+        # a load records no simplifications either: make them here
+        kept, self.simplifications_, self.stats_["skipped"] = self._simplify(
+            [self.registry_[cid] for cid in self._order])
         for L in self.dicts_:
             owners = {}
-            for cid in self._order:
-                keys = self._enumerate_one(self.registry_[cid], L)
-                if keys is None:
-                    continue
-                for key in keys:
-                    owners.setdefault(key, []).append(cid)
+            for c in kept:
+                for key in self._candidates(c, L, self.grids_[L]):
+                    owners.setdefault(key, []).append(c.id)
             self.owners_[L] = owners

@@ -120,21 +120,6 @@ def test_determinism():
     assert candidates.enumerate_dfd(req) == candidates.enumerate_dfd(req)
 
 
-def test_filtered_enumeration_matches_enumerate_then_filter():
-    rng = np.random.default_rng(35)
-    g = make_grid(0.5)
-    full_curve = Curve("c", rng.uniform(-1, 1, size=(5, 1)))
-    anchor = Curve("pi", np.array([[float(np.mean(full_curve.points))]]))
-    req = request(anchor, 2, 4.0, g, filter_curve=full_curve, filter_radius=1.5)
-    got = candidates.enumerate_dfd(req)
-    plain = candidates.enumerate_dfd(request(anchor, 2, 4.0, g))
-    expect = [
-        k for k in plain
-        if geometry.distance(full_curve.points, grid.key_to_points(k, g), math.inf) <= 1.5
-    ]
-    assert got == expect
-
-
 def test_capacity_guard_names_the_anchor():
     g = grid.GridSpec.create(epsilon=0.25, r=1.0, d=2, m_norm=4, p=math.inf)
     anchor = Curve("huge", np.zeros((4, 2)))

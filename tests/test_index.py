@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from curveann import CurveIndex, geometry, grid, oracle
+from curveann import CurveIndex, candidates, geometry, grid, oracle, simplify
 from curveann.errors import (
     CapacityExceeded,
     DimensionMismatch,
@@ -93,6 +94,22 @@ def test_get_set_params():
         idx.set_params(bogus=1)
 
 
+def test_set_params_drops_the_fitted_structure(tmp_path):
+    """The grids of an index fitted with eps=1 are too coarse for eps=0.25:
+    an insert on them missed a query at distance 0.95 <= r."""
+    idx = CurveIndex(epsilon=1.0, r=1.0).fit([Curve("a", [[0.0]])])
+    idx.set_params(epsilon=0.25)
+    q = Curve("q", [[9.45]])
+    for call in (lambda: idx.insert_curve(Curve("b", [[10.4]])), lambda: idx.query(q),
+                 lambda: idx.predict([q]), lambda: idx.count(q),
+                 lambda: idx.delete_curve("a"), lambda: idx.save(tmp_path / "x.annc")):
+        with pytest.raises(RuntimeError):
+            call()
+    idx.fit([Curve("a", [[0.0]])])
+    idx.insert_curve(Curve("b", [[10.4]]))
+    assert idx.query(q).match == "b"
+
+
 def test_every_stored_key_satisfies_the_predicate():
     rng = np.random.default_rng(71)
     curves = dataset(rng, 6, 3, 1)
@@ -178,6 +195,58 @@ def test_asymmetric_skips_unsimplifiable_curves():
     )
     assert idx.stats_["skipped"] == ["wide"]
     assert idx.query(Curve("q", [[0.0], [0.0]])).match == "tight"
+
+
+def lattice_box(points, radius, edge):
+    """Every lattice point in the bounding box of ``points`` grown by
+    ``radius``: a superset of the vertices of any curve within ``radius``."""
+    lo = np.floor((points.min(axis=0) - radius) / edge).astype(int)
+    hi = np.ceil((points.max(axis=0) + radius) / edge).astype(int)
+    return list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+
+
+def check_asym_keys(idx, live):
+    """Each curve of ``live`` (in insertion order) with a k-vertex
+    simplification stores exactly the length-k grid curves within
+    (1 + eps/2) r of it, found by brute force; the others store nothing."""
+    k, g = idx.k, idx.grids_[idx.k]
+    radius = (1 + idx.epsilon / 2) * idx.r
+    owners, skipped = {}, []
+    for c in live:
+        if simplify.simplify_curve(c.points, k, idx.r, eps=1.0) is None:
+            skipped.append(c.id)
+            continue
+        pool = lattice_box(c.points, radius, g.edge)
+        for key in oracle.brute_candidates(c, pool, k, radius, math.inf, g):
+            owners.setdefault(key, []).append(c.id)
+    assert idx.stats_["skipped"] == skipped
+    assert set(idx.simplifications_) == {c.id for c in live} - set(skipped)
+    assert dict(idx.dicts_[k].items()) == {key: ids[0] for key, ids in owners.items()}
+    if idx.owners_[k] is not None:
+        assert idx.owners_[k] == owners
+    return skipped
+
+
+@pytest.mark.parametrize("eps,k,d", [(1.0, 1, 1), (1.0, 2, 1), (0.5, 2, 1), (1.0, 1, 2)])
+def test_asymmetric_keys_are_the_plain_candidates_of_the_curve(tmp_path, eps, k, d):
+    rng = np.random.default_rng(84)
+    wide = Curve("wide", np.arange(0.0, 15.0, 3.0)[:, None] * np.ones(d))
+    curves = [Curve(f"c{i}", walk(rng, 4, d, spread=2.0) * 0.5) for i in range(4)]
+    curves.insert(1, wide)
+    idx = CurveIndex(epsilon=eps, r=1.0, metric=math.inf, mode="asym", k=k).fit(curves[:-1])
+    assert "wide" in check_asym_keys(idx, curves[:-1])
+    extra = Curve("wide2", wide.points + 1.0)
+    for c in (curves[-1], extra):
+        idx.insert_curve(c)
+    live = curves + [extra]
+    assert check_asym_keys(idx, live)[-1] == "wide2"
+    path = tmp_path / "asym.annc"
+    idx.save(path)
+    loaded = CurveIndex.load(path)
+    for gone in ("c0", "wide"):
+        loaded.delete_curve(gone)
+        live = [c for c in live if c.id != gone]
+        check_asym_keys(loaded, live)
 
 
 def test_one_lookup_per_query():
@@ -357,6 +426,22 @@ def test_dynamic_updates_after_load(tmp_path):
     got = {k for k, _ in loaded.dicts_[2].items()}
     want = {k for k, _ in fresh.dicts_[2].items()}
     assert got == want
+
+
+def test_deleting_an_unknown_id_enumerates_nothing(tmp_path, monkeypatch):
+    rng = np.random.default_rng(85)
+    path = tmp_path / "idx.annc"
+    CurveIndex(epsilon=1.0, r=1.0).fit(dataset(rng, 3, 2, 1)).save(path)
+    loaded = CurveIndex.load(path)
+    calls = []
+    enumerate_candidates = candidates.enumerate_candidates
+    monkeypatch.setattr(candidates, "enumerate_candidates",
+                        lambda req: calls.append(req) or enumerate_candidates(req))
+    with pytest.raises(KeyError):
+        loaded.delete_curve("nope")
+    assert calls == []
+    loaded.delete_curve("c0")
+    assert calls  # the owner rebuild and the delete enumerate through the module
 
 
 def test_dtw_short_queries_keep_the_guarantee():
