@@ -6,13 +6,22 @@ enumeration is a depth-first construction, one vertex at a time, pruned by
 the alignment-feasibility dynamic program of the metric itself:
 
 * min-max metric: the reachable set of anchor prefixes whose alignment with
-  the partial candidate keeps every matched pair within the radius;
-* finite p: the row of minimal partial p-th-power costs over anchor prefixes.
+  the partial candidate keeps every matched pair within the radius, a
+  bitmask per prefix, extended one pool vertex at a time;
+* finite p: the row of minimal partial p-th-power costs over anchor
+  prefixes. Prefixes advance in chunks: each step extends a bounded number
+  of (prefix, pool vertex) pairs at once, with numpy arrays, by the same
+  double operations as the scalar recurrence.
 
 A branch dies as soon as the reachable set empties (or the row minimum
 exceeds the budget); a completed curve is accepted exactly when the full
 alignment DP admits it, which is the same decision as
-``geometry.distance(anchor, candidate) <= radius`` on identical floats.
+``geometry.distance(anchor, candidate) <= radius`` on identical floats. For
+finite p the p-th root of an accepted total is taken on Python floats.
+
+The capacity guard is checked after each emitted key (min-max) or batch of
+keys (finite p): ``CapacityExceeded`` is raised exactly when the key set
+exceeds ``max_candidates``, holding at most one step's batch beyond it.
 """
 
 from dataclasses import dataclass
@@ -155,64 +164,113 @@ def enumerate_dfd(req):
 
 
 # ---------------------------------------------------------------------------
-# finite p (partial-cost DP rows)
+# finite p (partial-cost DP rows, a chunk of prefixes per step)
 # ---------------------------------------------------------------------------
 
+# (prefix, pool vertex) pairs one step of the finite-p enumerator extends at
+# most. It bounds the step's arrays, whatever the size of the key set;
+# larger steps measured no faster and left more freed memory behind a build.
+_STEP_PAIRS = 1 << 11
+
+
 def enumerate_lp(req):
-    """All grid curves of the requested length within the finite-p radius."""
+    """All grid curves of the requested length within the finite-p radius.
+
+    Depth-first over chunks of prefixes. A chunk of length-j prefixes is
+    held as pool-index columns, the DP rows of partial p-th-power costs over
+    anchor prefixes (one column of ``rows`` per prefix) and their minima. A
+    step pairs each prefix with every pool vertex ``v`` such that
+    ``row_min + mind[v]`` is within the slack budget, at most
+    ``_STEP_PAIRS`` pairs at a time, and computes the pairs' new rows column
+    by column with the double operations of the scalar recurrence: a
+    sequential sum for the first vertex, then
+    ``w[i] + min(row[i], row[i-1], new[i-1])``. Prefixes whose new row
+    minimum exceeds the slack budget die; the others form the next chunk. A
+    completed row is accepted when its total is at most the radius (p = 1),
+    or, for other p, when its total passes the slack budget and its p-th
+    root, taken on Python floats, is at most the radius: the same decision
+    as ``geometry.distance(anchor, candidate, p) <= radius``.
+    """
     if req.p == DFD:
         raise ModeMismatch("enumerate_lp requires a finite metric exponent")
     anchor, pool, adist = _pool_and_dists(req)
     if not pool:
         return []
-    m = anchor.shape[0]
-    p = req.p
-    pw = adist if p == 1 else adist**p
-    budget = req.enum_radius if p == 1 else req.enum_radius**p
-    # slight slack so DP-row pruning can never drop a boundary candidate that
-    # the exact acceptance test below would admit
-    budget_slack = budget * (1 + 1e-9) + 1e-300
-    mind = pw.min(axis=1)
-    order = sorted(range(len(pool)), key=lambda idx: (mind[idx], idx))
+    return _LpSteps(req, pool, adist).run()
 
-    out = []
-    prefix = [None] * req.out_len
-    INF = float("inf")
 
-    def rec(j, row, row_min):
-        last = j == req.out_len - 1
-        for idx in order:
-            if row_min + mind[idx] > budget_slack:
-                break
-            w = pw[idx]
-            if j == 0:
-                new = []
-                acc = 0.0
-                for i in range(m):
-                    acc += w[i]
-                    new.append(acc)
+class _LpSteps:
+    """One finite-p enumeration. Its steps are methods, not nested closures
+    that call each other: such closures form a reference cycle that would
+    keep the returned keys alive until the cyclic garbage collector runs."""
+
+    def __init__(self, req, pool, adist):
+        self.req = req
+        self.p = req.p
+        pw = adist if self.p == 1 else adist**self.p
+        budget = req.enum_radius if self.p == 1 else req.enum_radius**self.p
+        # slight slack so DP-row pruning can never drop a boundary candidate
+        # that the exact acceptance test would admit
+        self.budget_slack = budget * (1 + 1e-9) + 1e-300
+        # pool vertices by their cost to the nearest anchor vertex: the
+        # vertices a prefix can take are a leading run of this order
+        mind = pw.min(axis=1)
+        order = np.argsort(mind, kind="stable")
+        self.mind = mind[order]
+        self.cost = np.ascontiguousarray(pw[order].T)  # cost[i, v]: anchor vertex i to pool vertex v
+        self.vertices = np.empty(len(pool), dtype=object)
+        for v, idx in enumerate(order.tolist()):
+            self.vertices[v] = pool[idx]
+        self.out = []
+
+    def run(self):
+        # first vertex: its row is the running sum of its costs
+        first = np.cumsum(self.cost, axis=0)
+        n_first = int(np.searchsorted(self.mind, self.budget_slack, side="right"))
+        for lo in range(0, n_first, _STEP_PAIRS):
+            vtx = np.arange(lo, min(lo + _STEP_PAIRS, n_first))
+            self.settle(first[:, vtx], vtx[None, :])
+        return self.out
+
+    def extend(self, rows, row_min, prefix):
+        """Append one vertex to each prefix of a chunk, in bounded steps."""
+        # the vertices with row_min + mind[v] <= budget_slack, and perhaps a
+        # few more: the margin covers the rounding of that sum. A pair past
+        # the test makes a row whose minimum exceeds the slack budget.
+        reach = self.budget_slack - row_min + self.budget_slack * 1e-12
+        counts = np.searchsorted(self.mind, reach, side="right")
+        ends = np.cumsum(counts)
+        n_pairs = int(ends[-1])
+        m = rows.shape[0]
+        for lo in range(0, n_pairs, _STEP_PAIRS):
+            flat = np.arange(lo, min(lo + _STEP_PAIRS, n_pairs))
+            src = np.searchsorted(ends, flat, side="right")
+            vtx = flat - (ends[src] - counts[src])
+            prev = rows[:, src]
+            best = np.minimum(prev[1:], prev[:-1])
+            new = self.cost[:, vtx]
+            new[0] += prev[0]
+            for i in range(1, m):
+                np.minimum(best[i - 1], new[i - 1], out=best[i - 1])
+                new[i] += best[i - 1]
+            self.settle(new, np.vstack([prefix[:, src], vtx]))
+
+    def settle(self, new, prefix):
+        """Accept completed rows, or pass the live ones to the next step."""
+        req = self.req
+        if prefix.shape[0] == req.out_len:
+            total = new[-1]
+            if self.p == 1:
+                hit = np.flatnonzero(total <= req.enum_radius)
             else:
-                new = [0.0] * m
-                new[0] = w[0] + row[0]
-                for i in range(1, m):
-                    best = row[i]
-                    if row[i - 1] < best:
-                        best = row[i - 1]
-                    if new[i - 1] < best:
-                        best = new[i - 1]
-                    new[i] = w[i] + best
-            if last:
-                total = new[m - 1]
-                cost = total if p == 1 else total ** (1.0 / p)
-                if cost <= req.enum_radius:
-                    prefix[j] = pool[idx]
-                    out.append(tuple(prefix))
-                    _guard(req, len(out))
-            else:
-                nmin = min(new)
-                if nmin <= budget_slack:
-                    prefix[j] = pool[idx]
-                    rec(j + 1, new, nmin)
-
-    rec(0, None, 0.0)
-    return out
+                hit = np.flatnonzero(total <= self.budget_slack)
+                root = 1.0 / self.p
+                hit = hit[np.array([t ** root <= req.enum_radius for t in total[hit].tolist()],
+                                   dtype=bool)]
+            self.out.extend(zip(*self.vertices[prefix[:, hit]].tolist()))
+            _guard(req, len(self.out))
+            return
+        row_min = new.min(axis=0)
+        live = np.flatnonzero(row_min <= self.budget_slack)
+        if len(live):
+            self.extend(new[:, live], row_min[live], prefix[:, live])

@@ -66,28 +66,39 @@ class _DictBase:
         if not self.counting:
             raise ModeMismatch("increment requires counting mode")
         self._adopt(key)
-        new = (self._get(key) or 0) + 1
-        self._set(key, new)
-        return new
+        return self._increment(key)
 
     def lookup(self, key):
         return self._get(key)
 
-    # internal mutation used by the dynamic index
+    # internal mutation used by the dynamic index. A batch is the key set
+    # of one candidate request, whose keys share one shape: its first key
+    # is checked for all of them.
+
+    def insert_all_first_wins(self, keys, curve_id):
+        """``insert_first_wins`` for each key of a batch."""
+        if self.counting:
+            raise ModeMismatch("insert_first_wins requires near-neighbor mode")
+        if keys:
+            self._adopt(keys[0])
+        put = self._put_if_absent
+        for key in keys:
+            put(key, curve_id)
+
+    def increment_all(self, keys):
+        """``increment`` each key of a batch."""
+        if not self.counting:
+            raise ModeMismatch("increment requires counting mode")
+        if keys:
+            self._adopt(keys[0])
+        inc = self._increment
+        for key in keys:
+            inc(key)
+
     def replace(self, key, payload):
         if self._get(key) is None:
             raise KeyError(key)
         self._set(key, payload)
-
-    def decrement(self, key):
-        cur = self._get(key)
-        if cur is None:
-            raise KeyError(key)
-        if cur <= 1:
-            self.remove(key)
-            return 0
-        self._set(key, cur - 1)
-        return cur - 1
 
 
 class HashedDictionary(_DictBase):
@@ -108,6 +119,19 @@ class HashedDictionary(_DictBase):
 
     def _set(self, key, payload):
         self._map[key] = payload
+
+    def _increment(self, key):
+        new = self._map.get(key, 0) + 1
+        self._map[key] = new
+        return new
+
+    def decrement(self, key):
+        cur = self._map[key]
+        if cur <= 1:
+            del self._map[key]
+            return 0
+        self._map[key] = cur - 1
+        return cur - 1
 
     def remove(self, key):
         del self._map[key]
@@ -168,24 +192,50 @@ class PrefixTreeDictionary(_DictBase):
             self._size += 1
         node.terminal = payload
 
-    def remove(self, key):
-        # unlink the deepest branch that served only this key
-        stack = [self._root]
+    def _increment(self, key):
+        node = self._walk(key, create=True)
+        if node.terminal is None:
+            self._size += 1
+            node.terminal = 1
+        else:
+            node.terminal += 1
+        return node.terminal
+
+    def _path(self, key):
+        """The nodes from the root to the entry of ``key``; KeyError when
+        there is no entry."""
+        path = [self._root]
         node = self._root
         for vertex in key:
             node = node.children.get(vertex)
             if node is None:
                 raise KeyError(key)
-            stack.append(node)
+            path.append(node)
         if node.terminal is None:
             raise KeyError(key)
-        node.terminal = None
+        return path
+
+    def decrement(self, key):
+        path = self._path(key)
+        node = path[-1]
+        if node.terminal <= 1:
+            self._unlink(key, path)
+            return 0
+        node.terminal -= 1
+        return node.terminal
+
+    def remove(self, key):
+        self._unlink(key, self._path(key))
+
+    def _unlink(self, key, path):
+        # drop the entry and the deepest branch that served only this key
+        path[-1].terminal = None
         self._size -= 1
         for depth in range(len(key), 0, -1):
-            child = stack[depth]
+            child = path[depth]
             if child.children or child.terminal is not None:
                 break
-            del stack[depth - 1].children[key[depth - 1]]
+            del path[depth - 1].children[key[depth - 1]]
             self._nodes -= 1
 
     def __len__(self):

@@ -244,11 +244,10 @@ class CurveIndex:
 
     def _fold(self, dct, owners, curve_id, keys):
         if self.mode == "count":
-            for key in keys:
-                dct.increment(key)
+            dct.increment_all(keys)
         else:
+            dct.insert_all_first_wins(keys, curve_id)
             for key in keys:
-                dct.insert_first_wins(key, curve_id)
                 owners.setdefault(key, []).append(curve_id)
 
     def _unfold(self, dct, owners, curve_id, keys):
@@ -335,6 +334,12 @@ class CurveIndex:
         self._order.append(curve.id)
         for L, found in keys.items():
             self._fold(self.dicts_[L], self.owners_ and self.owners_[L], curve.id, found)
+        if keys:
+            self.stats_["candidates"][curve.id] = {L: len(found) for L, found in keys.items()}
+        self._count_entries()
+
+    def _count_entries(self):
+        self.stats_["dict_sizes"] = {L: len(dct) for L, dct in self.dicts_.items()}
 
     def _check_pair_bound(self, curve):
         for L, g in self.grids_.items():
@@ -364,6 +369,8 @@ class CurveIndex:
         self._results.pop(curve_id, None)
         self._order.remove(curve_id)
         self.simplifications_.pop(curve_id, None)
+        self.stats_["candidates"].pop(curve_id, None)
+        self._count_entries()
 
     # -- persistence --------------------------------------------------------
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +78,42 @@ def test_oracle_equivalence_random():
         assert len(set(got)) == len(got)
 
 
+@pytest.mark.parametrize("out_len", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_enumerate_lp_matches_brute_force(p, out_len):
+    """Anchors of m = 2 vertices, so the output is shorter than, as long
+    as and longer than the anchor; d = 2 only where brute force is small."""
+    rng = np.random.default_rng([35, int(p), out_len])
+    for d in (1, 2) if out_len < 3 else (1,):
+        g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=d, p=p, m_norm=out_len,
+                                 pairs=geometry.max_non_redundant_pairs(2, out_len))
+        for trial in range(3):
+            anchor = Curve(f"t{trial}", rng.uniform(-1, 1, size=(2, d)))
+            radius = float(rng.uniform(0.5, 1.2))
+            got = candidates.enumerate_lp(request(anchor, out_len, radius, g, p=p))
+            pool = candidates.vertex_pool(anchor, radius, g)
+            expect = oracle.brute_candidates(anchor, pool, out_len, radius, p, g)
+            assert len(got) == len(expect) and set(got) == expect, (d, trial)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_enumerate_lp_in_many_steps(p, monkeypatch):
+    """With a per-step bound far below the pool size, the first vertex and
+    every extension take several steps; the key set stays the same."""
+    anchor = Curve("a", [[0.0, 0.0], [0.8, -0.3], [1.2, 0.5]])
+    g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=2, p=p, m_norm=2,
+                             pairs=geometry.max_non_redundant_pairs(3, 2))
+    req = request(anchor, 2, 1.2, g, p=p)
+    whole = candidates.enumerate_lp(req)
+    pool = candidates.vertex_pool(anchor, 1.2, g)
+    monkeypatch.setattr(candidates, "_STEP_PAIRS", 5)
+    assert len(pool) > 5 * 5
+    steps = candidates.enumerate_lp(req)
+    expect = oracle.brute_candidates(anchor, pool, 2, 1.2, p, g)
+    assert len(steps) == len(whole) == len(expect)
+    assert set(steps) == set(whole) == expect
+
+
 def test_every_key_respects_the_distance_condition():
     rng = np.random.default_rng(32)
     g = make_grid(0.5, d=2)
@@ -126,6 +164,51 @@ def test_capacity_guard_names_the_anchor():
     with pytest.raises(CapacityExceeded) as exc:
         candidates.enumerate_dfd(request(anchor, 4, 1.125, g, max_candidates=100))
     assert "huge" in str(exc.value)
+
+
+@pytest.mark.parametrize("step_pairs", [None, 64])
+@pytest.mark.parametrize("p", [math.inf, 1.0, 2.0])
+def test_capacity_guard_at_its_boundary(p, step_pairs, monkeypatch):
+    if step_pairs is not None:
+        monkeypatch.setattr(candidates, "_STEP_PAIRS", step_pairs)
+    g = grid.GridSpec.create(epsilon=0.5, r=1.0, d=2, p=p, m_norm=2)
+    anchor = Curve("edge", [[0.0, 0.0], [0.7, 0.2]])
+    keys = candidates.enumerate_candidates(request(anchor, 2, 1.25, g, p=p))
+    n = len(keys)
+    assert n > 100
+    exact = candidates.enumerate_candidates(request(anchor, 2, 1.25, g, p=p, max_candidates=n))
+    assert set(exact) == set(keys)
+    with pytest.raises(CapacityExceeded) as exc:
+        candidates.enumerate_candidates(request(anchor, 2, 1.25, g, p=p, max_candidates=n - 1))
+    assert "edge" in str(exc.value)
+
+
+def test_a_hopeless_anchor_raises_in_bounded_memory():
+    """p = 1, m = 4, d = 2, eps = 0.5 has over 10^9 keys per curve. The
+    guard fires holding at most the allowed keys, one step's batch more,
+    and the arrays of one step at each depth."""
+    m, eps, limit = 4, 0.5, 5_000
+    radius = 1 + eps / 2
+    anchor = Curve("hopeless", [[0.0, 0.0], [1.0, 0.5], [2.0, -0.5], [3.0, 0.0]])
+    g = grid.GridSpec.create(epsilon=eps, r=1.0, d=2, p=1.0, m_norm=m,
+                             pairs=geometry.max_non_redundant_pairs(m, m))
+    assert oracle.key_count_lower_bound(anchor.points, m, radius, g.edge, 1.0) > 10**9
+    pool = len(candidates.vertex_pool(anchor, radius, g))
+    step = candidates._STEP_PAIRS
+    budget = (
+        pool * (6 * 8 * m + 200)  # pool vertices, their cost tables and orders
+        + m * step * 8 * (8 * m + 8)  # the arrays of one step at each depth
+        + (limit + step) * (sys.getsizeof((None,) * m) + 8)  # keys and list slots
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityExceeded) as exc:
+            candidates.enumerate_lp(request(anchor, m, radius, g, p=1.0, max_candidates=limit))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "hopeless" in str(exc.value)
+    assert peak < budget, (peak, budget)
 
 
 def test_metric_dispatch_errors():

@@ -75,6 +75,48 @@ def test_backends_observationally_equivalent():
         assert a.items() == b.items()
 
 
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_batches_equal_one_key_at_a_time(backend):
+    rng = np.random.default_rng(43)
+    keys = [tuple(tuple(int(x) for x in v) for v in rng.integers(-2, 3, size=(2, 1)))
+            for _ in range(60)]
+    for mode in ("nn", "count"):
+        one, batch = make_dictionary(backend, mode=mode), make_dictionary(backend, mode=mode)
+        for i, part in enumerate((keys[:30], keys[30:])):
+            if mode == "count":
+                for key in part:
+                    one.increment(key)
+                batch.increment_all(part)
+            else:
+                for key in part:
+                    one.insert_first_wins(key, f"c{i}")
+                batch.insert_all_first_wins(part, f"c{i}")
+        assert batch.items() == one.items()
+        assert (batch.out_len, batch.d) == (2, 1)
+    counted = make_dictionary(backend, mode="count")
+    counted.increment_all(keys)
+    for key in keys:
+        counted.decrement(key)
+    assert len(counted) == 0
+    with pytest.raises(KeyError):
+        counted.decrement(keys[0])
+    if backend == "trie":
+        assert counted.node_count == 1
+
+
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_batches_check_the_shape_and_mode(backend):
+    counted = make_dictionary(backend, mode="count", out_len=2, d=1)
+    with pytest.raises(ValueError):
+        counted.increment_all([((0,),), ((1,),)])
+    with pytest.raises(ModeMismatch):
+        counted.insert_all_first_wins([K1], "A")
+    with pytest.raises(ModeMismatch):
+        make_dictionary(backend).increment_all([K1])
+    counted.increment_all([])
+    assert len(counted) == 0
+
+
 def test_trie_node_count_bound():
     rng = np.random.default_rng(42)
     dct = make_dictionary("trie")

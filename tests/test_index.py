@@ -348,6 +348,19 @@ def test_counting_insert_twice_delete_once():
     assert dict(idx.dicts_[2].items()) == single
 
 
+@pytest.mark.parametrize("mode", ["nn", "count"])
+def test_updates_keep_the_build_stats(mode):
+    idx = CurveIndex(epsilon=1.0, r=1.0, mode=mode).fit([Curve("a", [[0.0]])])
+    assert idx.stats_["candidates"] == {"a": {1: 3}}
+    assert idx.stats_["dict_sizes"] == {1: 3}
+    idx.insert_curve(Curve("b", [[10.0]]))
+    assert idx.stats_["candidates"] == {"a": {1: 3}, "b": {1: 3}}
+    assert idx.stats_["dict_sizes"] == {1: 6}
+    idx.delete_curve("a")
+    assert idx.stats_["candidates"] == {"b": {1: 3}}
+    assert idx.stats_["dict_sizes"] == {1: 3}
+
+
 def test_delete_reassigns_overlapping_keys():
     a = Curve("a", [[0.0], [1.0]])
     b = Curve("b", [[0.1], [1.1]])
