@@ -141,25 +141,30 @@ def enumerate_dfd(req):
 
     out = []
     goal = 1 << (m - 1)
+    last = req.out_len - 1
     prefix = [None] * req.out_len
-
-    def rec(j, S):
+    # a stack of (depth, reachable set, pool indices left), not a recursive
+    # closure: that is a reference cycle, which would keep ``out`` alive
+    stack = [(0, 0, iter(range(len(pool))))]
+    while stack:
+        j, S, idxs = stack[-1]
         first = j == 0
-        idxs = range(len(pool)) if first else viable(S | (S << 1))
-        last = j == req.out_len - 1
-        for idx in idxs:
-            S2 = _step_mask(S, amask[idx], first)
-            if not S2:
-                continue
-            prefix[j] = pool[idx]
-            if last:
-                if S2 & goal:
-                    out.append(tuple(prefix))
-                    _guard(req, len(out))
+        if j < last:
+            for idx in idxs:
+                S2 = _step_mask(S, amask[idx], first)
+                if S2:
+                    prefix[j] = pool[idx]
+                    stack.append((j + 1, S2, iter(viable(S2 | (S2 << 1)))))
+                    break
             else:
-                rec(j + 1, S2)
-
-    rec(0, 0)
+                stack.pop()
+            continue
+        for idx in idxs:
+            if _step_mask(S, amask[idx], first) & goal:
+                prefix[j] = pool[idx]
+                out.append(tuple(prefix))
+                _guard(req, len(out))
+        stack.pop()
     return out
 
 

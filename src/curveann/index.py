@@ -159,7 +159,6 @@ class CurveIndex:
             L: dictmod.make_dictionary(self.backend, dict_mode, out_len=L, d=d)
             for L in lengths
         }
-        owners = {L: {} for L in lengths} if dict_mode == dictmod.MODE_NN else None
 
         t0 = time.perf_counter()
         kept, simplifications, skipped = self._simplify(curves)
@@ -168,15 +167,15 @@ class CurveIndex:
             for L in lengths:
                 keys = self._candidates(c, L, grids[L])
                 stats["candidates"].setdefault(c.id, {})[L] = len(keys)
-                self._fold(dicts[L], owners and owners[L], c.id, keys)
+                self._fold(dicts[L], c.id, keys)
         for L in lengths:
             stats["dict_sizes"][L] = len(dicts[L])
         stats["build_seconds"] = time.perf_counter() - t0
-        self._publish(p, d, {c.id: c for c in curves}, ids, grids, dicts, owners,
+        self._publish(p, d, {c.id: c for c in curves}, ids, grids, dicts,
                       simplifications, stats)
         return self
 
-    def _publish(self, p, d, registry, order, grids, dicts, owners, simplifications, stats):
+    def _publish(self, p, d, registry, order, grids, dicts, simplifications, stats):
         """Make a built or loaded structure the one this index answers from."""
         self._p = p
         self._d = d
@@ -184,7 +183,6 @@ class CurveIndex:
         self._order = order
         self.grids_ = grids
         self.dicts_ = dicts
-        self.owners_ = owners
         self.simplifications_ = simplifications
         self.stats_ = stats
         self._results = _Results(self.guarantee)
@@ -242,29 +240,48 @@ class CurveIndex:
         )
         return candmod.enumerate_candidates(req)
 
-    def _fold(self, dct, owners, curve_id, keys):
+    def _fold(self, dct, curve_id, keys):
         if self.mode == "count":
             dct.increment_all(keys)
         else:
             dct.insert_all_first_wins(keys, curve_id)
-            for key in keys:
-                owners.setdefault(key, []).append(curve_id)
 
-    def _unfold(self, dct, owners, curve_id, keys):
-        """Undo ``_fold``: a key that loses its owner passes to the next
-        curve, in insertion order, that stored it."""
+    def _unfold(self, L, curve):
+        """Undo ``_fold`` of ``curve``'s length-L candidate set.
+
+        A counted key loses one count. A key whose payload is ``curve`` is
+        an orphan: it passes to the first curve after ``curve`` in insertion
+        order whose candidate set holds it (payloads are first-wins, so no
+        earlier curve holds it), or is removed. Every alignment pairs first
+        with first and last with last, and no pair costs more than the whole
+        alignment, so a key's ends lie within (1 + eps/2) r of the ends of
+        each curve that holds it. A curve can thus share a key with
+        ``curve`` only if its first vertex and its last vertex are each
+        within twice that of ``curve``'s.
+        """
+        dct, grid = self.dicts_[L], self.grids_[L]
+        keys = self._candidates(curve, L, grid)
         if self.mode == "count":
             for key in keys:
                 dct.decrement(key)
-        else:
-            for key in keys:
-                lst = owners[key]
-                lst.remove(curve_id)
-                if not lst:
-                    del owners[key]
-                    dct.remove(key)
-                elif dct.lookup(key) == curve_id:
-                    dct.replace(key, lst[0])
+            return
+        orphans = {key for key in keys if dct.lookup(key) == curve.id}
+        # the slack keeps rounding from dropping a curve at the bound
+        reach = 2 * (1 + self.epsilon / 2) * self.r * (1 + 1e-9)
+        skipped = set(self.stats_["skipped"])
+        for cid in self._order[self._order.index(curve.id) + 1:]:
+            if not orphans:
+                break
+            c = self.registry_[cid]
+            if (cid in skipped or math.dist(c.points[0], curve.points[0]) > reach
+                    or math.dist(c.points[-1], curve.points[-1]) > reach):
+                continue
+            taken = orphans.intersection(self._candidates(c, L, grid))
+            for key in taken:
+                dct.replace(key, cid)
+            orphans -= taken
+        for key in orphans:
+            dct.remove(key)
 
     # -- queries ------------------------------------------------------------
 
@@ -325,7 +342,6 @@ class CurveIndex:
         if curve.dim != self._d:
             raise DimensionMismatch("curve dimension mismatch")
         self._check_pair_bound(curve)
-        self._ensure_owners()
         kept, simplifications, skipped = self._simplify([curve])
         keys = {L: self._candidates(curve, L, g) for L, g in self.grids_.items()} if kept else {}
         self.simplifications_.update(simplifications)
@@ -333,7 +349,7 @@ class CurveIndex:
         self.registry_[curve.id] = curve
         self._order.append(curve.id)
         for L, found in keys.items():
-            self._fold(self.dicts_[L], self.owners_ and self.owners_[L], curve.id, found)
+            self._fold(self.dicts_[L], curve.id, found)
         if keys:
             self.stats_["candidates"][curve.id] = {L: len(found) for L, found in keys.items()}
         self._count_entries()
@@ -352,19 +368,19 @@ class CurveIndex:
                 )
 
     def delete_curve(self, curve_id):
-        """Remove one curve, re-deriving its candidate contributions."""
+        """Remove one curve. Each key it owned passes to the first later curve
+        that holds it, or is removed; only the later curves whose endpoints
+        lie within 2 (1 + eps/2) r of its own are enumerated (see ``_unfold``)."""
         self._check_fitted()
         curve = self.registry_.get(curve_id)
         if curve is None:
             raise KeyError(f"unknown curve id {curve_id!r}")
-        self._ensure_owners()
         skipped = self.stats_["skipped"]
         if curve_id in skipped:
             skipped.remove(curve_id)  # it stored no keys
         else:
-            for L, dct in self.dicts_.items():
-                self._unfold(dct, self.owners_ and self.owners_[L], curve_id,
-                             self._candidates(curve, L, self.grids_[L]))
+            for L in self.dicts_:
+                self._unfold(L, curve)
         del self.registry_[curve_id]
         self._results.pop(curve_id, None)
         self._order.remove(curve_id)
@@ -377,15 +393,10 @@ class CurveIndex:
     def save(self, path):
         """Write all dictionary blocks plus the input-curve registry."""
         self._check_fitted()
-        mode_name = {
-            "nn": dictmod.MODE_NN,
-            "count": dictmod.MODE_COUNT,
-            "asym": dictmod.MODE_ASYM,
-        }[self.mode]
         with open(path, "wb") as f:
             for L in sorted(self.dicts_):
                 header = dictmod.DictHeader(
-                    mode=mode_name,
+                    mode=self.mode,
                     p=self._p,
                     epsilon=self.epsilon,
                     r=self.r,
@@ -438,7 +449,6 @@ class CurveIndex:
         for h, _ in blocks[1:]:
             if (h.mode, h.p, h.epsilon, h.r, h.d) != (h0.mode, h0.p, h0.epsilon, h0.r, h0.d):
                 raise FormatError("inconsistent block headers")
-        mode = {"nn": "nn", "count": "count", "asym": "asym"}[h0.mode]
         if expect is not None:
             for name, attr in (("epsilon", "epsilon"), ("r", "r")):
                 if name in expect and not math.isclose(expect[name], getattr(h0, attr)):
@@ -450,8 +460,8 @@ class CurveIndex:
             epsilon=h0.epsilon,
             r=h0.r,
             metric=h0.p,
-            mode=mode,
-            k=h0.out_len if mode == "asym" else None,
+            mode=h0.mode,
+            k=h0.out_len if h0.mode == dictmod.MODE_ASYM else None,
             backend=backend,
         )
         grids = {}
@@ -465,15 +475,15 @@ class CurveIndex:
             except ValueError as exc:
                 raise CorruptFile(f"block for length {h.out_len}: {exc}") from exc
             dicts[h.out_len] = dct
+        _, simplifications, skipped = idx._simplify([registry[cid] for cid in order])
         idx._publish(
             h0.p, h0.d, registry, order, grids, dicts,
-            owners=None if mode == "count" else {L: None for L in dicts},
-            simplifications={},
+            simplifications=simplifications,
             stats={
                 "lookups": 0,
                 "candidates": {},
                 "dict_sizes": {L: len(dct) for L, dct in dicts.items()},
-                "skipped": [],
+                "skipped": skipped,
             },
         )
         if registry:
@@ -483,19 +493,3 @@ class CurveIndex:
             except UnsupportedLength as exc:
                 raise FormatError(f"index must be rebuilt: {exc}") from exc
         return idx
-
-    def _ensure_owners(self):
-        """Recompute owner lists after a load (needed for deletions)."""
-        if self.owners_ is None:
-            return
-        if all(v is not None for v in self.owners_.values()):
-            return
-        # a load records no simplifications either: make them here
-        kept, self.simplifications_, self.stats_["skipped"] = self._simplify(
-            [self.registry_[cid] for cid in self._order])
-        for L in self.dicts_:
-            owners = {}
-            for c in kept:
-                for key in self._candidates(c, L, self.grids_[L]):
-                    owners.setdefault(key, []).append(c.id)
-            self.owners_[L] = owners

@@ -1,3 +1,4 @@
+import gc
 import math
 import sys
 import tracemalloc
@@ -209,6 +210,21 @@ def test_a_hopeless_anchor_raises_in_bounded_memory():
         tracemalloc.stop()
     assert "hopeless" in str(exc.value)
     assert peak < budget, (peak, budget)
+
+
+@pytest.mark.parametrize("p", [math.inf, 1.0])
+def test_returned_keys_are_held_by_the_caller_only(p):
+    """No reference cycle inside the enumerator keeps its key list alive
+    once the caller drops it."""
+    g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=1, p=p, m_norm=2)
+    req = request(Curve("a", [[0.0], [1.0]]), 2, 1.5, g, p=p)
+    gc.disable()
+    try:
+        keys = candidates.enumerate_candidates(req)
+        assert keys
+        assert sys.getrefcount(keys) == 2
+    finally:
+        gc.enable()
 
 
 def test_metric_dispatch_errors():

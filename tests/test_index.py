@@ -197,12 +197,52 @@ def test_asymmetric_skips_unsimplifiable_curves():
     assert idx.query(Curve("q", [[0.0], [0.0]])).match == "tight"
 
 
+def test_a_loaded_asymmetric_index_reports_the_fitted_simplifications(tmp_path):
+    rng = np.random.default_rng(86)
+    curves = [Curve(f"c{i}", walk(rng, 5, 2, spread=2.0) * 0.4) for i in range(4)]
+    curves.insert(2, Curve("wide", np.arange(0.0, 15.0, 3.0)[:, None] * np.ones(2)))
+    idx = CurveIndex(epsilon=1.0, r=1.0, metric=math.inf, mode="asym", k=2).fit(curves)
+    path = tmp_path / "asym.annc"
+    idx.save(path)
+    loaded = CurveIndex.load(path)
+    assert loaded.stats_["skipped"] == idx.stats_["skipped"] == ["wide"]
+    assert list(loaded.simplifications_) == list(idx.simplifications_)
+    for cid, pi in idx.simplifications_.items():
+        assert np.array_equal(loaded.simplifications_[cid], pi)
+
+
+@pytest.mark.parametrize("reload", [False, True])
+def test_a_skipped_curve_takes_no_orphan(tmp_path, reload):
+    """``s`` has no 1-vertex curve within r (its best lies 1.25 away) and is
+    skipped, but the lattice point 1 lies within (1 + eps/2) r of both it
+    and ``x``: the key must not pass to ``s`` when ``x`` is deleted."""
+    x, s = Curve("x", [[1.2], [1.3]]), Curve("s", [[0.0], [2.5]])
+    idx = CurveIndex(epsilon=1.0, r=1.0, metric=math.inf, mode="asym", k=1).fit([x, s])
+    if reload:
+        path = tmp_path / "asym.annc"
+        idx.save(path)
+        idx = CurveIndex.load(path)
+    assert idx.stats_["skipped"] == ["s"]
+    assert idx.dicts_[1].lookup(((1,),)) == "x"
+    idx.delete_curve("x")
+    assert len(idx.dicts_[1]) == 0
+
+
 def lattice_box(points, radius, edge):
     """Every lattice point in the bounding box of ``points`` grown by
     ``radius``: a superset of the vertices of any curve within ``radius``."""
     lo = np.floor((points.min(axis=0) - radius) / edge).astype(int)
     hi = np.ceil((points.max(axis=0) + radius) / edge).astype(int)
     return list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+
+
+def check_equals_a_fresh_fit(idx, live):
+    """Every block of ``idx`` equals that of a fresh fit over ``live``, the
+    surviving curves in insertion order."""
+    fresh = CurveIndex(**{**idx.get_params(), "query_lengths": sorted(idx.dicts_)}).fit(live)
+    assert sorted(fresh.dicts_) == sorted(idx.dicts_)
+    for L, dct in idx.dicts_.items():
+        assert dct.items() == fresh.dicts_[L].items()
 
 
 def check_asym_keys(idx, live):
@@ -222,8 +262,7 @@ def check_asym_keys(idx, live):
     assert idx.stats_["skipped"] == skipped
     assert set(idx.simplifications_) == {c.id for c in live} - set(skipped)
     assert dict(idx.dicts_[k].items()) == {key: ids[0] for key, ids in owners.items()}
-    if idx.owners_[k] is not None:
-        assert idx.owners_[k] == owners
+    check_equals_a_fresh_fit(idx, live)
     return skipped
 
 
@@ -361,13 +400,36 @@ def test_updates_keep_the_build_stats(mode):
     assert idx.stats_["dict_sizes"] == {1: 3}
 
 
-def test_delete_reassigns_overlapping_keys():
-    a = Curve("a", [[0.0], [1.0]])
-    b = Curve("b", [[0.1], [1.1]])
-    idx = CurveIndex(epsilon=1.0, r=1.0).fit([a, b])
-    idx.delete_curve("a")
-    rebuilt = CurveIndex(epsilon=1.0, r=1.0).fit([b])
-    assert dict(idx.dicts_[2].items()) == dict(rebuilt.dicts_[2].items())
+def test_delete_reassigns_overlapping_keys(tmp_path):
+    """A cluster around ``base``: the orphans of ``a0`` pass to ``a1``, to
+    later curves that ``a1`` does not hold them for (``b``, whose first
+    vertex lies more than (1 + eps/2) r from ``a0``'s, and ``a2``), or to
+    none. After each delete the index equals a fresh fit over the rest,
+    for every metric and backend, fitted or loaded."""
+    base = np.array([[0.0], [1.0], [2.0]])
+    curves = [
+        Curve("a0", base),
+        Curve("a1", base + 0.3),
+        Curve("z", base + 50.0),
+        Curve("b", base + [[2.0], [0.0], [0.0]]),
+        Curve("a2", base - 0.3),
+    ]
+    path = tmp_path / "idx.annc"
+    for metric, backend, reload in itertools.product(
+            [math.inf, 1.0, 2.0], ["hash", "trie"], [False, True]):
+        idx = CurveIndex(epsilon=0.5, r=1.0, metric=metric, backend=backend).fit(curves)
+        if reload:
+            idx.save(path)
+            idx = CurveIndex.load(path, backend=backend)
+        owned = [key for key, cid in idx.dicts_[3].items() if cid == "a0"]
+        live = curves
+        for gone in ("a0", "a1", "b", "z"):
+            idx.delete_curve(gone)
+            live = [c for c in live if c.id != gone]
+            check_equals_a_fresh_fit(idx, live)
+            if gone == "a0":
+                heirs = {idx.dicts_[3].lookup(key) for key in owned}
+                assert {"a1", "b", "a2", None} <= heirs, (metric, backend, reload)
 
 
 def test_dynamic_interleaving_matches_fresh_build():
@@ -454,7 +516,25 @@ def test_deleting_an_unknown_id_enumerates_nothing(tmp_path, monkeypatch):
         loaded.delete_curve("nope")
     assert calls == []
     loaded.delete_curve("c0")
-    assert calls  # the owner rebuild and the delete enumerate through the module
+    assert calls  # the delete enumerates through the module
+
+
+def test_a_delete_after_load_enumerates_only_the_curve(tmp_path, monkeypatch):
+    """Curves 10 apart share no key, so deleting one of them enumerates its
+    own candidate set at each query length and no other curve's."""
+    curves = [Curve(f"c{i}", [[10.0 * i], [10.0 * i + 1]]) for i in range(4)]
+    path = tmp_path / "idx.annc"
+    CurveIndex(epsilon=1.0, r=1.0, query_lengths=[1, 2]).fit(curves).save(path)
+    loaded = CurveIndex.load(path)
+    calls = []
+    enumerate_candidates = candidates.enumerate_candidates
+    monkeypatch.setattr(candidates, "enumerate_candidates",
+                        lambda req: calls.append(req.anchor.id) or enumerate_candidates(req))
+    for gone in ("c1", "c0"):
+        loaded.delete_curve(gone)
+        assert calls == [gone, gone]
+        calls.clear()
+    check_equals_a_fresh_fit(loaded, curves[2:])
 
 
 def test_dtw_short_queries_keep_the_guarantee():
