@@ -7,7 +7,7 @@ the alignment-feasibility dynamic program of the metric itself:
 
 * min-max metric: the reachable set of anchor prefixes whose alignment with
   the partial candidate keeps every matched pair within the radius, a
-  bitmask per prefix, extended one pool vertex at a time;
+  bitmask per prefix, extended one mask class of pool vertices at a time;
 * finite p: the row of minimal partial p-th-power costs over anchor
   prefixes. Prefixes advance in chunks: each step extends a bounded number
   of (prefix, pool vertex) pairs at once, with numpy arrays, by the same
@@ -19,11 +19,13 @@ alignment DP admits it, which is the same decision as
 ``geometry.distance(anchor, candidate) <= radius`` on identical floats. For
 finite p the p-th root of an accepted total is taken on Python floats.
 
-The capacity guard is checked after each emitted key (min-max) or batch of
-keys (finite p): ``CapacityExceeded`` is raised exactly when the key set
-exceeds ``max_candidates``, holding at most one step's batch beyond it.
+``CapacityExceeded`` is raised exactly when the key set exceeds
+``max_candidates``. For min-max it is decided from the exact key count,
+before any key is built; for finite p it is checked after each batch of
+keys, holding at most one step's batch beyond the limit.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +43,11 @@ class CandidateRequest:
     out_len: int
     enum_radius: float
     grid: gridmod.GridSpec
-    p: float = DFD
     max_candidates: int = DEFAULT_MAX_CANDIDATES
 
     def __post_init__(self):
+        if not isinstance(self.anchor, geometry.Curve):
+            raise TypeError("the anchor must be a Curve")
         if self.out_len < 1:
             raise ValueError("out_len must be >= 1")
         if self.enum_radius <= 0:
@@ -62,31 +65,29 @@ def vertex_pool(anchor, radius, grid):
 
 def enumerate_candidates(req):
     """Dispatch to the min-max or finite-p enumerator."""
-    if req.p == DFD:
+    if req.grid.p == DFD:
         return enumerate_dfd(req)
     return enumerate_lp(req)
 
 
 def _pool_and_dists(req):
-    """The anchor's points, the candidate vertex pool and its distance table
-    to the anchor.
+    """The candidate vertex pool and its distance table to the anchor.
 
     Any vertex of a candidate within the enumeration radius must lie within
     that radius of some anchor vertex (each candidate vertex is matched to at
     least one anchor vertex, and no matched pair can exceed the total cost).
     """
-    anchor = req.anchor.points if isinstance(req.anchor, geometry.Curve) else geometry.as_points(req.anchor)
-    pool = vertex_pool(anchor, req.enum_radius, req.grid)
+    pool = vertex_pool(req.anchor, req.enum_radius, req.grid)
     if not pool:
-        return anchor, [], None
+        return [], None
     phys = np.asarray(pool, dtype=float) * req.grid.edge
-    return anchor, pool, geometry.pairwise_dists(phys, anchor)
+    return pool, geometry.pairwise_dists(phys, req.anchor.points)
 
 
 def _guard(req, count):
     if count > req.max_candidates:
         raise CapacityExceeded(
-            f"candidate set for anchor {getattr(req.anchor, 'id', '?')!r} exceeds "
+            f"candidate set for anchor {req.anchor.id!r} exceeds "
             f"max_candidates={req.max_candidates}"
         )
 
@@ -111,60 +112,63 @@ def _step_mask(S_prev, close, first):
 
 
 def enumerate_dfd(req):
-    """All grid curves of the requested length within the min-max radius."""
-    if req.p != DFD:
+    """All grid curves of the requested length within the min-max radius.
+
+    A pool vertex acts on the reachable set only through its closeness mask,
+    so each accepted sequence of mask classes contributes the Cartesian
+    product of its classes' members. The guard is decided on the exact key
+    count, these products' sizes summed by a DP, before any key is built.
+    """
+    if req.grid.p != DFD:
         raise ModeMismatch("enumerate_dfd requires the min-max metric")
-    anchor, pool, adist = _pool_and_dists(req)
+    pool, adist = _pool_and_dists(req)
     if not pool:
         return []
-    m = anchor.shape[0]
-    amask = [int(sum(1 << i for i in range(m) if adist[idx, i] <= req.enum_radius))
-             for idx in range(len(pool))]
+    # masks are Python ints, one bit per anchor vertex however many there are
+    bits = np.packbits(adist <= req.enum_radius, axis=1, bitorder="little")
+    members = {}
+    for vertex, row in zip(pool, bits):
+        members.setdefault(int.from_bytes(row.tobytes(), "little"), []).append(vertex)
+    goal = 1 << (len(req.anchor) - 1)
+    last = req.out_len - 1
 
-    by_anchor_bit = [[] for _ in range(m)]
-    for idx, mask in enumerate(amask):
-        for i in range(m):
-            if mask >> i & 1:
-                by_anchor_bit[i].append(idx)
-    window_cache = {}
-
-    def viable(window):
-        got = window_cache.get(window)
-        if got is None:
-            merged = set()
-            for i in range(m):
-                if window >> i & 1:
-                    merged.update(by_anchor_bit[i])
-            got = sorted(merged)
-            window_cache[window] = got
-        return got
+    # DP over (level, reachable set): ways[S] counts the prefixes that reach
+    # S, and steps[j][S] lists the (next set, class) edges out of S
+    ways = {0: 1}
+    steps = []
+    for j in range(last):
+        nxt, edges = {}, {}
+        for S, n in ways.items():
+            edges[S] = [(S2, vs) for mask, vs in members.items()
+                        if (S2 := _step_mask(S, mask, j == 0))]
+            for S2, vs in edges[S]:
+                nxt[S2] = nxt.get(S2, 0) + n * len(vs)
+        steps.append(edges)
+        ways = nxt
+    # the vertices that end a prefix, by its reachable set; a reachable set
+    # lies within the last mask, so only masks with the goal bit are tried
+    ends = {S: [v for mask, vs in members.items()
+                if mask & goal and _step_mask(S, mask, last == 0) & goal for v in vs]
+            for S in ways}
+    _guard(req, sum(n * len(ends[S]) for S, n in ways.items()))
+    if not last:
+        return list(itertools.product(ends[0]))
 
     out = []
-    goal = 1 << (m - 1)
-    last = req.out_len - 1
-    prefix = [None] * req.out_len
-    # a stack of (depth, reachable set, pool indices left), not a recursive
-    # closure: that is a reference cycle, which would keep ``out`` alive
-    stack = [(0, 0, iter(range(len(pool))))]
+    chosen = [None] * req.out_len
+    # (level, edges left); a recursive closure would keep ``out`` in a cycle
+    stack = [(0, iter(steps[0][0]))]
     while stack:
-        j, S, idxs = stack[-1]
-        first = j == 0
-        if j < last:
-            for idx in idxs:
-                S2 = _step_mask(S, amask[idx], first)
-                if S2:
-                    prefix[j] = pool[idx]
-                    stack.append((j + 1, S2, iter(viable(S2 | (S2 << 1)))))
-                    break
-            else:
-                stack.pop()
-            continue
-        for idx in idxs:
-            if _step_mask(S, amask[idx], first) & goal:
-                prefix[j] = pool[idx]
-                out.append(tuple(prefix))
-                _guard(req, len(out))
-        stack.pop()
+        j, left = stack[-1]
+        for S2, vs in left:
+            chosen[j] = vs
+            if j + 1 < last:
+                stack.append((j + 1, iter(steps[j + 1][S2])))
+                break
+            chosen[last] = ends[S2]
+            out.extend(itertools.product(*chosen))
+        else:
+            stack.pop()
     return out
 
 
@@ -196,9 +200,9 @@ def enumerate_lp(req):
     root, taken on Python floats, is at most the radius: the same decision
     as ``geometry.distance(anchor, candidate, p) <= radius``.
     """
-    if req.p == DFD:
+    if req.grid.p == DFD:
         raise ModeMismatch("enumerate_lp requires a finite metric exponent")
-    anchor, pool, adist = _pool_and_dists(req)
+    pool, adist = _pool_and_dists(req)
     if not pool:
         return []
     return _LpSteps(req, pool, adist).run()
@@ -211,7 +215,7 @@ class _LpSteps:
 
     def __init__(self, req, pool, adist):
         self.req = req
-        self.p = req.p
+        self.p = req.grid.p
         pw = adist if self.p == 1 else adist**self.p
         budget = req.enum_radius if self.p == 1 else req.enum_radius**self.p
         # slight slack so DP-row pruning can never drop a boundary candidate

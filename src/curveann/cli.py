@@ -58,7 +58,7 @@ def _fmt(x):
 
 def _index_from_args(args):
     mode = "asym" if (args.mode == "nn" and args.k is not None) else args.mode
-    return CurveIndex(
+    idx = CurveIndex(
         epsilon=args.epsilon,
         r=args.radius,
         metric=geometry.parse_metric(args.metric),
@@ -68,6 +68,11 @@ def _index_from_args(args):
         max_candidates=args.max_candidates,
         query_lengths=args.lengths,
     )
+    try:
+        idx._validated()
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    return idx
 
 
 def cmd_build(args):
@@ -152,16 +157,8 @@ def cmd_bench(args):
     rng = np.random.default_rng(args.seed)
     p = geometry.parse_metric(args.metric)
     curves, queries = _bench_workload(rng, args.n, args.m, args.d, args.radius, k=args.k)
-    mode = "count" if args.mode == "count" else ("asym" if args.k else "nn")
-    idx = CurveIndex(
-        epsilon=args.epsilon,
-        r=args.radius,
-        metric=p,
-        mode=mode,
-        k=args.k,
-        backend=args.backend,
-        max_candidates=args.max_candidates,
-    ).fit(curves)
+    idx = _index_from_args(args).fit(curves)
+    mode = idx.mode
 
     violations = false_pos = mismatches = 0
     times = []
@@ -254,7 +251,7 @@ def build_parser():
     be.add_argument("--k", type=int, default=None)
     be.add_argument("--seed", type=int, default=0)
     be.add_argument("--out", default=None, help="CSV output path")
-    be.set_defaults(func=cmd_bench)
+    be.set_defaults(func=cmd_bench, lengths=None)
     return ap
 
 

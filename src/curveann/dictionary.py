@@ -5,9 +5,18 @@ operations) and a prefix tree whose levels follow the curve's vertices in
 lexicographic child order (fully deterministic). Keys are tuples of lattice
 vertices (tuples of ints); payloads are either a curve id (near-neighbor
 mode) or a counter (counting mode).
+
+Index file layout, format version 1, little-endian with no padding: a block
+per supported query length L, then the curve registry. A block is the
+``_HEADER`` fields (magic ``ANNC``, u16 version, u8 mode: 0 nn, 1 count,
+2 asym; f64 p, 0 for p = inf; f64 epsilon, f64 r, u32 d, u32 L, f64 edge), a
+u64 entry count and, per entry in lexicographic key order, the L*d int64 key
+coordinates and a u64 count (count mode) or a u32 length and a UTF-8 id. The
+registry (``CurveIndex.save``) is ``REGY``, a u64 curve count and per curve,
+in insertion order, a u32 id length, the UTF-8 id, u32 m, u32 d and the m*d
+f64 coordinates.
 """
 
-import io
 import struct
 from dataclasses import dataclass
 
@@ -37,7 +46,7 @@ class _DictBase:
     """Shared mode/length bookkeeping for both backends."""
 
     def __init__(self, mode=MODE_NN, out_len=None, d=None):
-        if mode not in (MODE_NN, MODE_COUNT, MODE_ASYM):
+        if mode not in (MODE_NN, MODE_COUNT):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.out_len = out_len

@@ -135,11 +135,6 @@ def distance(P, Q, p=DFD):
     return acc if p == 1 else acc ** (1.0 / p)
 
 
-def within_distance(P, Q, p, radius):
-    """Decision form of :func:`distance`; same float semantics."""
-    return distance(P, Q, p) <= radius
-
-
 def _dp_minmax(D):
     m1, m2 = D.shape
     row = [0.0] * m2
@@ -230,10 +225,3 @@ def max_non_redundant_pairs(m1, m2):
 
 def _has_redundant_pair(path):
     return redundant_pair_index(path) is not None
-
-
-def remove_pair(pairs, index):
-    """Alignment with the pair at ``index`` removed (caller must keep it valid)."""
-    out = list(pairs)
-    del out[index]
-    return tuple(out)

@@ -129,6 +129,8 @@ class CurveIndex:
                 raise ValueError("the asymmetric mode is defined for the min-max metric only")
             if self.k is None or self.k < 1:
                 raise ValueError("the asymmetric mode requires k >= 1")
+        elif self.k is not None:
+            raise ValueError(f"k is for the asymmetric mode only, not mode {self.mode!r}")
         return p
 
     # -- build --------------------------------------------------------------
@@ -235,7 +237,6 @@ class CurveIndex:
             out_len=L,
             enum_radius=(1 + self.epsilon / 2) * self.r,
             grid=grid,
-            p=grid.p,
             max_candidates=self.max_candidates,
         )
         return candmod.enumerate_candidates(req)

@@ -249,7 +249,7 @@ def test_criterion_03_candidate_sets_equal_brute_force():
         if len(pool) ** out_len > 10**6:
             continue
         req = candidates.CandidateRequest(
-            anchor=anchor, out_len=out_len, enum_radius=radius, grid=g, p=p
+            anchor=anchor, out_len=out_len, enum_radius=radius, grid=g
         )
         got = set(candidates.enumerate_candidates(req))
         want = oracle.brute_candidates(anchor, pool, out_len, radius, p, g)

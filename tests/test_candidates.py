@@ -16,9 +16,9 @@ def make_grid(edge, d=1, p=math.inf, epsilon=1.0):
     return grid.GridSpec(edge=edge, epsilon=epsilon, r=1.0, d=d, m_norm=1, p=p)
 
 
-def request(anchor, out_len, radius, g, p=math.inf, **kw):
+def request(anchor, out_len, radius, g, **kw):
     return candidates.CandidateRequest(
-        anchor=anchor, out_len=out_len, enum_radius=radius, grid=g, p=p, **kw
+        anchor=anchor, out_len=out_len, enum_radius=radius, grid=g, **kw
     )
 
 
@@ -42,17 +42,17 @@ def test_enumerate_dfd_examples():
 
 def test_enumerate_lp_examples():
     a = Curve("a", [[0.0]])
-    keys = candidates.enumerate_lp(request(a, 1, 1.0, make_grid(0.25, p=1.0), p=1.0))
+    keys = candidates.enumerate_lp(request(a, 1, 1.0, make_grid(0.25, p=1.0)))
     assert set(keys) == {((z,),) for z in range(-4, 5)}
     zz = Curve("z", [[0.0], [0.0]])
-    keys = candidates.enumerate_lp(request(zz, 2, 1e-12, make_grid(1.0, p=1.0), p=1.0))
+    keys = candidates.enumerate_lp(request(zz, 2, 1e-12, make_grid(1.0, p=1.0)))
     assert keys == [((0,), (0,))]
 
 
 def test_enumerate_lp_fractional_edge_vs_oracle():
     g = make_grid(0.5, p=1.0)
     a = Curve("a", [[0.0], [1.0]])
-    keys = candidates.enumerate_lp(request(a, 2, 0.5, g, p=1.0))
+    keys = candidates.enumerate_lp(request(a, 2, 0.5, g))
     pool = candidates.vertex_pool(a, 0.5, g)
     expect = oracle.brute_candidates(a, pool, 2, 0.5, 1.0, g)
     assert set(keys) == expect
@@ -69,7 +69,7 @@ def test_oracle_equivalence_random():
         g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=d, m_norm=out_len, p=p)
         anchor = Curve(f"t{trial}", rng.uniform(-1.5, 1.5, size=(m, d)))
         radius = float(rng.uniform(0.3, 1.2))
-        req = request(anchor, out_len, radius, g, p=p)
+        req = request(anchor, out_len, radius, g)
         got = candidates.enumerate_candidates(req)
         pool = candidates.vertex_pool(anchor, radius, g)
         if len(pool) ** out_len > 10**6:
@@ -91,7 +91,7 @@ def test_enumerate_lp_matches_brute_force(p, out_len):
         for trial in range(3):
             anchor = Curve(f"t{trial}", rng.uniform(-1, 1, size=(2, d)))
             radius = float(rng.uniform(0.5, 1.2))
-            got = candidates.enumerate_lp(request(anchor, out_len, radius, g, p=p))
+            got = candidates.enumerate_lp(request(anchor, out_len, radius, g))
             pool = candidates.vertex_pool(anchor, radius, g)
             expect = oracle.brute_candidates(anchor, pool, out_len, radius, p, g)
             assert len(got) == len(expect) and set(got) == expect, (d, trial)
@@ -104,7 +104,7 @@ def test_enumerate_lp_in_many_steps(p, monkeypatch):
     anchor = Curve("a", [[0.0, 0.0], [0.8, -0.3], [1.2, 0.5]])
     g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=2, p=p, m_norm=2,
                              pairs=geometry.max_non_redundant_pairs(3, 2))
-    req = request(anchor, 2, 1.2, g, p=p)
+    req = request(anchor, 2, 1.2, g)
     whole = candidates.enumerate_lp(req)
     pool = candidates.vertex_pool(anchor, 1.2, g)
     monkeypatch.setattr(candidates, "_STEP_PAIRS", 5)
@@ -121,7 +121,7 @@ def test_every_key_respects_the_distance_condition():
     anchor = Curve("a", rng.uniform(-1, 1, size=(3, 2)))
     for p in (math.inf, 1.0):
         gp = grid.GridSpec.create(epsilon=1.0, r=1.0, d=2, m_norm=2, p=p)
-        keys = candidates.enumerate_candidates(request(anchor, 2, 1.0, gp, p=p))
+        keys = candidates.enumerate_candidates(request(anchor, 2, 1.0, gp))
         for key in keys:
             pts = grid.key_to_points(key, gp)
             assert geometry.distance(anchor.points, pts, p) <= 1.0
@@ -133,7 +133,7 @@ def test_completeness_witness():
     for p in (math.inf, 1.0, 2.0):
         g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=2, m_norm=3, p=p)
         anchor = Curve("a", rng.uniform(-1, 1, size=(3, 2)))
-        keys = set(candidates.enumerate_candidates(request(anchor, 3, 1.0, g, p=p)))
+        keys = set(candidates.enumerate_candidates(request(anchor, 3, 1.0, g)))
         for _ in range(10):
             w = grid.snap_curve(anchor.points + rng.uniform(-0.05, 0.05, size=(3, 2)), g)
             pts = grid.key_to_points(w, g)
@@ -167,20 +167,30 @@ def test_capacity_guard_names_the_anchor():
     assert "huge" in str(exc.value)
 
 
+# a min-max anchor of 12 vertices within 0.35 of each other: its 45 pool
+# vertices fall into 13 closeness classes, one of them with 32 vertices
+WIGGLE = [[0.03 * i, 0.05 * (i % 2)] for i in range(12)]
+
+
 @pytest.mark.parametrize("step_pairs", [None, 64])
-@pytest.mark.parametrize("p", [math.inf, 1.0, 2.0])
-def test_capacity_guard_at_its_boundary(p, step_pairs, monkeypatch):
+@pytest.mark.parametrize("p, points", [
+    (math.inf, [[0.0, 0.0], [0.7, 0.2]]),
+    (1.0, [[0.0, 0.0], [0.7, 0.2]]),
+    (2.0, [[0.0, 0.0], [0.7, 0.2]]),
+    (math.inf, WIGGLE),
+], ids=["inf", "1.0", "2.0", "inf-wiggle"])
+def test_capacity_guard_at_its_boundary(p, points, step_pairs, monkeypatch):
     if step_pairs is not None:
         monkeypatch.setattr(candidates, "_STEP_PAIRS", step_pairs)
     g = grid.GridSpec.create(epsilon=0.5, r=1.0, d=2, p=p, m_norm=2)
-    anchor = Curve("edge", [[0.0, 0.0], [0.7, 0.2]])
-    keys = candidates.enumerate_candidates(request(anchor, 2, 1.25, g, p=p))
+    anchor = Curve("edge", points)
+    keys = candidates.enumerate_candidates(request(anchor, 2, 1.25, g))
     n = len(keys)
     assert n > 100
-    exact = candidates.enumerate_candidates(request(anchor, 2, 1.25, g, p=p, max_candidates=n))
+    exact = candidates.enumerate_candidates(request(anchor, 2, 1.25, g, max_candidates=n))
     assert set(exact) == set(keys)
     with pytest.raises(CapacityExceeded) as exc:
-        candidates.enumerate_candidates(request(anchor, 2, 1.25, g, p=p, max_candidates=n - 1))
+        candidates.enumerate_candidates(request(anchor, 2, 1.25, g, max_candidates=n - 1))
     assert "edge" in str(exc.value)
 
 
@@ -204,7 +214,7 @@ def test_a_hopeless_anchor_raises_in_bounded_memory():
     tracemalloc.start()
     try:
         with pytest.raises(CapacityExceeded) as exc:
-            candidates.enumerate_lp(request(anchor, m, radius, g, p=1.0, max_candidates=limit))
+            candidates.enumerate_lp(request(anchor, m, radius, g, max_candidates=limit))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -212,12 +222,44 @@ def test_a_hopeless_anchor_raises_in_bounded_memory():
     assert peak < budget, (peak, budget)
 
 
+def test_a_hopeless_min_max_anchor_raises_before_building_keys():
+    """m = 6, d = 2, eps = 0.25 has over 10^12 keys per curve. The guard is
+    decided from the exact count, so it fires holding far less memory than
+    the allowed 10^6 keys would take."""
+    m, eps, limit = 6, 0.25, 10**6
+    radius = 1 + eps / 2
+    anchor = Curve("hopeless", [[0.3 * i, 0.2 * (i % 2)] for i in range(m)])
+    g = grid.GridSpec.create(epsilon=eps, r=1.0, d=2, m_norm=m)
+    assert oracle.key_count_lower_bound(anchor.points, m, radius, g.edge, math.inf) > 10**12
+    keys_size = limit * (sys.getsizeof((None,) * m) + 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityExceeded) as exc:
+            candidates.enumerate_dfd(request(anchor, m, radius, g, max_candidates=limit))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "hopeless" in str(exc.value)
+    assert peak < keys_size / 50, (peak, keys_size)
+
+
+def test_a_long_min_max_anchor_matches_brute_force():
+    """70 anchor vertices: a closeness mask needs more than 64 bits."""
+    rng = np.random.default_rng(36)
+    anchor = Curve("long", rng.uniform(-1, 1, size=(70, 1)))
+    g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=1, m_norm=2)
+    keys = candidates.enumerate_dfd(request(anchor, 2, 1.2, g))
+    pool = candidates.vertex_pool(anchor, 1.2, g)
+    expect = oracle.brute_candidates(anchor, pool, 2, 1.2, math.inf, g)
+    assert expect and len(keys) == len(expect) and set(keys) == expect
+
+
 @pytest.mark.parametrize("p", [math.inf, 1.0])
 def test_returned_keys_are_held_by_the_caller_only(p):
     """No reference cycle inside the enumerator keeps its key list alive
     once the caller drops it."""
     g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=1, p=p, m_norm=2)
-    req = request(Curve("a", [[0.0], [1.0]]), 2, 1.5, g, p=p)
+    req = request(Curve("a", [[0.0], [1.0]]), 2, 1.5, g)
     gc.disable()
     try:
         keys = candidates.enumerate_candidates(req)
@@ -231,6 +273,6 @@ def test_metric_dispatch_errors():
     g = make_grid(1.0)
     a = Curve("a", [[0.0]])
     with pytest.raises(ModeMismatch):
-        candidates.enumerate_dfd(request(a, 1, 1.0, g, p=1.0))
+        candidates.enumerate_dfd(request(a, 1, 1.0, make_grid(1.0, p=1.0)))
     with pytest.raises(ModeMismatch):
-        candidates.enumerate_lp(request(a, 1, 1.0, g, p=math.inf))
+        candidates.enumerate_lp(request(a, 1, 1.0, g))

@@ -142,6 +142,21 @@ def test_capacity_exit_code(tmp_path, capsys):
     assert "a" in stderr
 
 
+@pytest.mark.parametrize("command", ["build", "bench"])
+def test_k_outside_the_asymmetric_mode_is_a_usage_error(tmp_path, capsys, command):
+    inp = curve_file(tmp_path, [{"id": "a", "points": [[0.0], [1.0], [2.0]]}])
+    out = tmp_path / "o"
+    argv = {
+        "build": ["build", "--input", inp, "--out", str(out)],
+        "bench": ["bench", "--n", "4", "--seed", "1"],
+    }[command]
+    code, stdout, stderr = run(argv + ["--radius", "1", "--mode", "count", "--k", "2"], capsys)
+    assert code == cli.EXIT_PARSE
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1 and "asymmetric mode only" in stderr
+    assert not out.exists()
+
+
 def test_format_exit_code(tmp_path, capsys):
     bad = tmp_path / "junk.annc"
     bad.write_bytes(b"JUNKJUNKJUNK" + b"\x00" * 64)

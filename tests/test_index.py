@@ -84,6 +84,17 @@ def test_param_validation():
         CurveIndex(mode="asym", metric=math.inf).fit([Curve("a", [[0.0]])])
 
 
+@pytest.mark.parametrize("mode", ["nn", "count"])
+def test_k_is_refused_outside_the_asymmetric_mode(mode):
+    """k sets the query length of the asymmetric mode only. Another mode
+    rejects it rather than build for the input lengths and ignore it."""
+    idx = CurveIndex(mode=mode, k=2)
+    with pytest.raises(ValueError, match="asymmetric mode only"):
+        idx.fit([Curve("a", [[0.0], [1.0], [2.0]])])
+    with pytest.raises(RuntimeError):
+        idx.query(Curve("q", [[0.0], [1.0]]))
+
+
 def test_get_set_params():
     idx = CurveIndex(epsilon=0.5, r=2.0)
     params = idx.get_params()
