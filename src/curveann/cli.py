@@ -58,17 +58,17 @@ def _fmt(x):
 
 def _index_from_args(args):
     mode = "asym" if (args.mode == "nn" and args.k is not None) else args.mode
-    idx = CurveIndex(
-        epsilon=args.epsilon,
-        r=args.radius,
-        metric=geometry.parse_metric(args.metric),
-        mode=mode,
-        k=args.k,
-        backend=args.backend,
-        max_candidates=args.max_candidates,
-        query_lengths=args.lengths,
-    )
     try:
+        idx = CurveIndex(
+            epsilon=args.epsilon,
+            r=args.radius,
+            metric=geometry.parse_metric(args.metric),
+            mode=mode,
+            k=args.k,
+            backend=args.backend,
+            max_candidates=args.max_candidates,
+            query_lengths=args.lengths,
+        )
         idx._validated()
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
@@ -155,9 +155,10 @@ def _bench_workload(rng, n, m, d, r, k=None):
 
 def cmd_bench(args):
     rng = np.random.default_rng(args.seed)
+    idx = _index_from_args(args)
     p = geometry.parse_metric(args.metric)
     curves, queries = _bench_workload(rng, args.n, args.m, args.d, args.radius, k=args.k)
-    idx = _index_from_args(args).fit(curves)
+    idx.fit(curves)
     mode = idx.mode
 
     violations = false_pos = mismatches = 0

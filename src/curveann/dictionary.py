@@ -15,10 +15,19 @@ coordinates and a u64 count (count mode) or a u32 length and a UTF-8 id. The
 registry (``CurveIndex.save``) is ``REGY``, a u64 curve count and per curve,
 in insertion order, a u32 id length, the UTF-8 id, u32 m, u32 d and the m*d
 f64 coordinates.
+
+The entries of a block are encoded and decoded ``_CHUNK`` at a time with
+numpy; the bytes are the same as if they were packed one by one, so the
+layout above holds unchanged. Keys must strictly increase within a block: a
+reader rejects a block with keys out of order or repeated.
 """
 
+import io
 import struct
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .errors import CorruptFile, FormatError, ModeMismatch
 
@@ -33,6 +42,9 @@ _MODE_BYTES = {MODE_NN: 0, MODE_COUNT: 1, MODE_ASYM: 2}
 _BYTE_MODES = {v: k for k, v in _MODE_BYTES.items()}
 
 _HEADER = struct.Struct("<4sHBdddII d".replace(" ", ""))
+
+_CHUNK = 1 << 13  # entries decoded or encoded per step
+_RUN = 1 << 10  # the most entries of one run of an nn/asym block decoded at once
 
 
 def _check_key(key, out_len, d):
@@ -145,6 +157,10 @@ class HashedDictionary(_DictBase):
     def remove(self, key):
         del self._map[key]
 
+    def _append_sorted(self, keys, shared, payloads):
+        """Store a chunk of a block, whose keys are distinct and absent."""
+        self._map.update(zip(keys, payloads))
+
     def __len__(self):
         return len(self._map)
 
@@ -156,9 +172,9 @@ class HashedDictionary(_DictBase):
 class _Node:
     __slots__ = ("children", "terminal")
 
-    def __init__(self):
+    def __init__(self, terminal=None):
         self.children = {}
-        self.terminal = None
+        self.terminal = terminal
 
 
 class PrefixTreeDictionary(_DictBase):
@@ -247,6 +263,27 @@ class PrefixTreeDictionary(_DictBase):
             del path[depth - 1].children[key[depth - 1]]
             self._nodes -= 1
 
+    def _append_sorted(self, keys, shared, payloads):
+        """Store a chunk of a block: ``keys`` strictly increase and follow
+        every stored key, and key i has its first ``shared[i]`` vertices in
+        common with the key before it. Only the vertices after those get
+        new nodes."""
+        if not keys:
+            return
+        last = self.out_len - 1
+        path = [self._root]  # the inner nodes of the previous key
+        for vertex in keys[0][: shared[0]]:
+            path.append(path[-1].children[vertex])
+        path += [None] * (last - shared[0])
+        for key, depth, payload in zip(keys, shared, payloads):
+            while depth < last:
+                child = path[depth + 1] = _Node()
+                path[depth].children[key[depth]] = child
+                depth += 1
+            path[last].children[key[last]] = _Node(payload)
+        self._size += len(keys)
+        self._nodes += len(keys) * self.out_len - sum(shared)
+
     def __len__(self):
         return self._size
 
@@ -257,17 +294,20 @@ class PrefixTreeDictionary(_DictBase):
     def items(self):
         """Entries in lexicographic key order (natural traversal order)."""
         out = []
-
-        def rec(node, prefix):
-            if node.terminal is not None:
-                out.append((tuple(prefix), node.terminal))
-            for vertex in sorted(node.children):
-                prefix.append(vertex)
-                rec(node.children[vertex], prefix)
-                prefix.pop()
-
-        rec(self._root, [])
+        _collect(self._root, [], out)
         return out
+
+
+def _collect(node, prefix, out):
+    """Append the entries under ``node``, whose key starts with ``prefix``,
+    to ``out`` in key order. A module function, not a closure, so that no
+    reference cycle keeps ``out`` alive after ``items`` returns."""
+    if node.terminal is not None:
+        out.append((tuple(prefix), node.terminal))
+    for vertex in sorted(node.children):
+        prefix.append(vertex)
+        _collect(node.children[vertex], prefix, out)
+        prefix.pop()
 
 
 def make_dictionary(backend, mode=MODE_NN, out_len=None, d=None):
@@ -291,11 +331,29 @@ class DictHeader:
     edge: float
 
 
+def _remaining(f):
+    """The number of bytes between the position of ``f`` and its end."""
+    pos = f.tell()
+    end = f.seek(0, io.SEEK_END)
+    f.seek(pos)
+    return end - pos
+
+
 def _read_exact(f, n):
+    """The next ``n`` bytes of ``f``; CorruptFile when fewer remain. A read
+    longer than one buffer is refused before it is made if the file is too
+    short, so a corrupt length field cannot ask for gigabytes."""
+    if n > io.DEFAULT_BUFFER_SIZE and n > _remaining(f):
+        raise CorruptFile("file truncated")
     data = f.read(n)
     if len(data) != n:
         raise CorruptFile("file truncated")
     return data
+
+
+def _counted(width):
+    """The layout of a count-mode entry whose key has ``width`` coordinates."""
+    return np.dtype([("key", "<i8", (width,)), ("count", "<u8")])
 
 
 def write_block(f, header, dct):
@@ -320,18 +378,31 @@ def write_block(f, header, dct):
     )
     items = dct.items()
     f.write(struct.pack("<Q", len(items)))
-    flat = struct.Struct(f"<{header.out_len * header.d}q")
-    for key, payload in items:
-        f.write(flat.pack(*(c for vertex in key for c in vertex)))
+    width = header.out_len * header.d
+    pieces = {}  # curve id -> its u32 length and UTF-8 bytes
+    for start in range(0, len(items), _CHUNK):
+        keys, payloads = zip(*items[start : start + _CHUNK])
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(keys)), "<i8",
+                           len(keys) * width)
         if header.mode == MODE_COUNT:
-            f.write(struct.pack("<Q", payload))
-        else:
-            raw = payload.encode("utf-8")
-            f.write(struct.pack("<I", len(raw)) + raw)
+            entries = np.empty(len(keys), _counted(width))
+            entries["key"] = flat.reshape(len(keys), width)
+            entries["count"] = payloads
+            f.write(entries.tobytes())
+            continue
+        for cid in set(payloads).difference(pieces):
+            raw = cid.encode("utf-8")
+            pieces[cid] = struct.pack("<I", len(raw)) + raw
+        rows = flat.view(f"V{8 * width}").tolist()
+        f.write(b"".join(chain.from_iterable(zip(rows, map(pieces.__getitem__, payloads)))))
 
 
 def read_block(f, backend="hash"):
-    """Read one dictionary block; returns (header, dictionary)."""
+    """Read one dictionary block; returns (header, dictionary).
+
+    Raises CorruptFile when the block overruns the file, an id is not UTF-8,
+    a count is 0 or the keys do not strictly increase.
+    """
     raw = _read_exact(f, _HEADER.size)
     magic, version, mode_b, p_enc, epsilon, r, d, out_len, edge = _HEADER.unpack(raw)
     if magic != MAGIC:
@@ -340,24 +411,133 @@ def read_block(f, backend="hash"):
         raise FormatError(f"unsupported format version {version}")
     if mode_b not in _BYTE_MODES:
         raise FormatError(f"unknown mode byte {mode_b}")
+    if d < 1 or out_len < 1:
+        raise CorruptFile(f"bad key shape {out_len} x {d}")
     mode = _BYTE_MODES[mode_b]
     p = float("inf") if p_enc == 0.0 else p_enc
     header = DictHeader(mode=mode, p=p, epsilon=epsilon, r=r, d=d, out_len=out_len, edge=edge)
-    dict_mode = MODE_COUNT if mode == MODE_COUNT else MODE_NN
-    dct = make_dictionary(backend, dict_mode, out_len=out_len, d=d)
+    counting = mode == MODE_COUNT
+    dct = make_dictionary(backend, MODE_COUNT if counting else MODE_NN, out_len=out_len, d=d)
     (count,) = struct.unpack("<Q", _read_exact(f, 8))
-    flat = struct.Struct(f"<{out_len * d}q")
-    for _ in range(count):
-        coords = flat.unpack(_read_exact(f, flat.size))
-        key = tuple(tuple(coords[i * d : (i + 1) * d]) for i in range(out_len))
-        if mode == MODE_COUNT:
-            (cnt,) = struct.unpack("<Q", _read_exact(f, 8))
-            dct._set(key, cnt)
-        else:
-            (idlen,) = struct.unpack("<I", _read_exact(f, 4))
-            cid = _read_exact(f, idlen).decode("utf-8")
-            dct._put_if_absent(key, cid)
+    width = out_len * d
+    if count * (8 * width + (8 if counting else 4)) > _remaining(f):
+        raise CorruptFile("file truncated")
+    chunks = _counted_chunks(f, count, width) if counting else _named_chunks(f, count, width)
+    last = None  # the final key of the previous chunk
+    for rows, payloads in chunks:
+        keys, shared = _keys(rows, last, out_len, d)
+        dct._append_sorted(keys, shared, payloads)
+        last = rows[-1].copy()
     return header, dct
+
+
+def _counted_chunks(f, count, width):
+    """The entries of a count-mode block, ``_CHUNK`` at a time, as (key
+    rows, counts)."""
+    for start in range(0, count, _CHUNK):
+        n = min(_CHUNK, count - start)
+        layout = _counted(width)
+        entries = np.frombuffer(_read_exact(f, n * layout.itemsize), layout)
+        if not entries["count"].all():
+            raise CorruptFile("an entry with count 0")
+        yield entries["key"], entries["count"].tolist()
+
+
+def _named_chunks(f, count, width):
+    """The entries of an nn/asym block, up to ``_CHUNK`` at a time, as (key
+    rows, curve ids).
+
+    Entries whose ids have one byte length n have the fixed stride
+    ``8 * width + 4 + n``, so up to ``_RUN`` of them are decoded at once: a
+    run ends at the first length field that differs from n, where the next
+    run starts.
+    """
+    key_size = 8 * width
+    end = f.tell() + _remaining(f)
+    layouts = {}  # id length -> the layout of an entry
+    buf, pos = b"", 0  # bytes read ahead, and where the next entry starts in them
+    for start in range(0, count, _CHUNK):
+        want = min(_CHUNK, count - start)
+        runs = []  # (id length, entries) per run of the chunk
+        got = 0
+        while got < want:
+            buf, pos = _ahead(f, buf, pos, key_size + 4, end)
+            n = int.from_bytes(buf[pos + key_size : pos + key_size + 4], "little")
+            # the entry must fit in the file; a head cut short fails here too
+            if key_size + 4 + n > len(buf) - pos + end - f.tell():
+                raise CorruptFile("file truncated")
+            if n not in layouts:
+                layouts[n] = np.dtype([("key", "<i8", (width,)), ("n", "<u4"), ("id", f"V{n}")])
+            layout = layouts[n]
+            buf, pos = _ahead(f, buf, pos, min(want - got, _RUN) * layout.itemsize, end)
+            k = min(want - got, _RUN, (len(buf) - pos) // layout.itemsize)
+            entries = np.frombuffer(buf, layout, k, pos)
+            # the first length field is n: argmax is 0 only if none differs
+            run = int((entries["n"] != n).argmax()) or k
+            runs.append((n, entries[:run]))
+            pos += run * layout.itemsize
+            got += run
+        yield np.concatenate([entries["key"] for _, entries in runs]), _curve_ids(runs)
+    f.seek(pos - len(buf), io.SEEK_CUR)  # give back what was read ahead
+
+
+def _ahead(f, buf, pos, size, end):
+    """``buf[pos:]`` extended from ``f`` to ``size`` bytes, or to ``end``
+    if the file is shorter, and the position it starts at. A read takes at
+    least one buffer's worth, so short runs do not each read."""
+    if len(buf) - pos >= size:
+        return buf, pos
+    more = max(size - (len(buf) - pos), io.DEFAULT_BUFFER_SIZE)
+    return buf[pos:] + f.read(min(more, end - f.tell())), 0
+
+
+def _curve_ids(runs):
+    """The ids of a chunk's runs, in entry order; each distinct id is
+    decoded once."""
+    lengths = np.repeat([n for n, _ in runs], [len(entries) for _, entries in runs])
+    out = np.empty(len(lengths), dtype=object)
+    for n in {n for n, _ in runs}:
+        ids, which = np.unique(np.concatenate([e["id"] for m, e in runs if m == n]),
+                               return_inverse=True)
+        try:
+            names = [raw.decode("utf-8") for raw in ids.tolist()]
+        except UnicodeDecodeError as exc:
+            raise CorruptFile(f"curve id is not UTF-8: {exc}") from exc
+        out[lengths == n] = np.array(names, dtype=object)[which]
+    return out.tolist()
+
+
+def _keys(rows, last, out_len, d):
+    """The key tuples of a chunk's int64 rows, and for each key how many
+    leading vertices it shares with the key before it, which for the first
+    row is ``last`` (None at the start of a block). Raises CorruptFile
+    unless the keys strictly increase."""
+    before = rows[:-1] if last is None else np.vstack((last, rows[:-1]))
+    after = rows[1:] if last is None else rows
+    differ = after != before
+    first = differ.argmax(axis=1)  # the first coordinate that differs
+    i = np.arange(len(first))
+    if not (differ[i, first] & (after[i, first] > before[i, first])).all():
+        raise CorruptFile("block keys are not strictly increasing")
+    shared = (first // d).tolist()
+    if last is None:
+        shared.insert(0, 0)
+    cube = rows.reshape(len(rows), out_len, d)
+    keys = list(zip(*[_vertex_column(cube[:, j, :]) for j in range(out_len)]))
+    return keys, shared
+
+
+def _vertex_column(col):
+    """The vertices of one key position across a chunk, as tuples: one
+    tuple object per distinct vertex, which the keys share."""
+    order = np.lexsort(col.T[::-1])
+    ranked = col[order]
+    new = np.ones(len(col), bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    which = np.empty(len(col), np.int64)
+    which[order] = np.cumsum(new) - 1
+    distinct = list(zip(*ranked[new].T.tolist()))
+    return map(distinct.__getitem__, which.tolist())
 
 
 def save(path, header, dct):

@@ -131,6 +131,8 @@ class CurveIndex:
                 raise ValueError("the asymmetric mode requires k >= 1")
         elif self.k is not None:
             raise ValueError(f"k is for the asymmetric mode only, not mode {self.mode!r}")
+        if self.query_lengths is not None and any(L < 1 for L in self.query_lengths):
+            raise ValueError("query lengths must be >= 1")
         return p
 
     # -- build --------------------------------------------------------------
@@ -194,10 +196,7 @@ class CurveIndex:
         if self.mode == "asym":
             return [self.k]
         if self.query_lengths is not None:
-            lengths = sorted(set(self.query_lengths))
-            if any(L < 1 for L in lengths):
-                raise ValueError("query lengths must be >= 1")
-            return lengths
+            return sorted(set(self.query_lengths))
         if p == geometry.DFD:
             return sorted({len(c) for c in curves})
         return [max(len(c) for c in curves)]
@@ -437,13 +436,20 @@ class CurveIndex:
             registry = {}
             for _ in range(n):
                 (idlen,) = struct.unpack("<I", dictmod._read_exact(f, 4))
-                cid = dictmod._read_exact(f, idlen).decode("utf-8")
+                raw = dictmod._read_exact(f, idlen)
                 m, d = struct.unpack("<II", dictmod._read_exact(f, 8))
                 pts = np.frombuffer(
                     dictmod._read_exact(f, 8 * m * d), dtype="<f8"
                 ).reshape(m, d)
+                try:
+                    cid = raw.decode("utf-8")
+                    curve = geometry.Curve(cid, pts)
+                except ValueError as exc:  # an id that is not UTF-8, or bad points
+                    raise CorruptFile(f"registry curve {len(order)}: {exc}") from exc
+                if cid in registry:
+                    raise CorruptFile(f"registry holds {cid!r} twice")
                 order.append(cid)
-                registry[cid] = geometry.Curve(cid, pts)
+                registry[cid] = curve
         if not blocks:
             raise FormatError("no dictionary blocks in file")
         h0 = blocks[0][0]

@@ -157,6 +157,22 @@ def test_k_outside_the_asymmetric_mode_is_a_usage_error(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--lengths", "0"], "error: query lengths must be >= 1"),
+    (["--metric", "p=0.5"], "error: metric exponent must be >= 1, got 0.5"),
+])
+def test_bad_lengths_and_metrics_are_usage_errors(tmp_path, capsys, flags, error):
+    inp = curve_file(tmp_path, [{"id": "a", "points": [[0.0], [1.0]]}])
+    out = tmp_path / "o"
+    code, stdout, stderr = run(
+        ["build", "--input", inp, "--radius", "1", "--out", str(out)] + flags, capsys
+    )
+    assert code == cli.EXIT_PARSE
+    assert stdout == ""
+    assert stderr.splitlines() == [error]
+    assert not out.exists()
+
+
 def test_format_exit_code(tmp_path, capsys):
     bad = tmp_path / "junk.annc"
     bad.write_bytes(b"JUNKJUNKJUNK" + b"\x00" * 64)

@@ -210,3 +210,76 @@ def test_serialized_bytes_identical_across_backends():
     dictionary.write_block(fa, header(), a)
     dictionary.write_block(fb, header(), b)
     assert fa.getvalue() == fb.getvalue()
+
+
+def block_bytes(mode, keys, payloads):
+    """A block written from ``keys`` (given in sorted order) and payloads."""
+    dct = make_dictionary("hash", mode=mode)
+    for key, payload in zip(keys, payloads):
+        dct._set(key, payload)
+    buf = io.BytesIO()
+    dictionary.write_block(buf, header(mode=mode), dct)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("chunk", [dictionary._CHUNK, 2])
+@pytest.mark.parametrize("fault", ["swapped", "repeated"])
+@pytest.mark.parametrize("mode", ["nn", "count"])
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_blocks_out_of_key_order_are_rejected(backend, mode, fault, chunk, monkeypatch):
+    """Keys must strictly increase, within a chunk and across chunks (with
+    2 entries a chunk, the second and third entries are in different
+    ones)."""
+    monkeypatch.setattr(dictionary, "_CHUNK", chunk)
+    payloads = [1, 2, 3] if mode == "count" else ["A", "B", "C"]
+    data = block_bytes(mode, [K3, K1, K2], payloads)
+    start = dictionary._HEADER.size + 8
+    stride = (len(data) - start) // 3
+    entries = [data[start + i * stride : start + (i + 1) * stride] for i in range(3)]
+    dictionary.read_block(io.BytesIO(data), backend)  # the block as written is fine
+    faulty = {
+        "swapped": [entries[0], entries[2], entries[1]],
+        "repeated": [entries[0], entries[1], entries[1]],
+    }[fault]
+    with pytest.raises(CorruptFile, match="strictly increasing"):
+        dictionary.read_block(io.BytesIO(data[:start] + b"".join(faulty)), backend)
+
+
+def test_a_zero_count_is_rejected():
+    data = bytearray(block_bytes("count", [K3, K1], [1, 2]))
+    data[-8:] = bytes(8)
+    with pytest.raises(CorruptFile, match="count 0"):
+        dictionary.read_block(io.BytesIO(bytes(data)))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, dictionary._CHUNK])
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_blocks_round_trip_a_chunk_at_a_time(backend, chunk, monkeypatch):
+    """Ids of several byte lengths, including the empty one and non-ASCII
+    ones, make runs of equal-length ids start and stop anywhere in a chunk.
+    The loaded dictionary equals one built a key at a time, node for node."""
+    monkeypatch.setattr(dictionary, "_CHUNK", chunk)
+    rng = np.random.default_rng(44)
+    names = ["", "a", "é1", "c10", "curve-4", "x" * 300]
+    keys = {tuple(tuple(int(x) for x in v) for v in rng.integers(-300, 300, size=(3, 2)))
+            for _ in range(150)}
+    keys |= {((0, 0), (1, 1), (2, j)) for j in range(40)}  # long shared prefixes
+    for mode in ("nn", "count"):
+        built = make_dictionary(backend, mode=mode)
+        for key in sorted(keys, key=hash):
+            if mode == "count":
+                for _ in range(1 + key[2][1] % 3):
+                    built.increment(key)
+            else:
+                built.insert_first_wins(key, names[int(rng.integers(len(names)))])
+        buf = io.BytesIO()
+        dictionary.write_block(buf, header(mode=mode, out_len=3, d=2), built)
+        buf.seek(0)
+        _, loaded = dictionary.read_block(buf, backend)
+        assert loaded.items() == built.items()
+        assert len(loaded) == len(built)
+        if backend == "trie":
+            assert loaded.node_count == built.node_count
+        again = io.BytesIO()
+        dictionary.write_block(again, header(mode=mode, out_len=3, d=2), loaded)
+        assert again.getvalue() == buf.getvalue()

@@ -1,12 +1,15 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from curveann import CurveIndex, candidates, geometry, grid, oracle, simplify
+from curveann import CurveIndex, candidates, dictionary, geometry, grid, oracle, simplify
 from curveann.errors import (
     CapacityExceeded,
+    CorruptFile,
     DimensionMismatch,
     FormatError,
     ModeMismatch,
@@ -604,3 +607,105 @@ def test_load_rejects_a_grid_too_coarse_for_its_curves(tmp_path):
     idx.save(path)
     with pytest.raises(FormatError):
         CurveIndex.load(path)
+
+
+# Inputs whose saved indexes pin the bytes of format version 1. The ids have
+# 0, 1, 3, 3 and 7 UTF-8 bytes, so runs of equal-length ids start and stop
+# inside the nn and asym blocks.
+GOLDEN_CURVES = [
+    ("", [[0.0], [1.0], [2.1]]),
+    ("a", [[0.3], [1.2], [1.9]]),
+    ("é1", [[0.1], [1.4]]),
+    ("c10", [[-0.2], [0.9], [2.2]]),
+    ("curve-4", [[0.2], [1.1], [0.4]]),
+]
+GOLDEN = {  # configuration -> (parameters, SHA-256 of the saved file)
+    "nn": (dict(epsilon=1.0, r=1.0, metric="dfd", query_lengths=[1, 2, 3]),
+           "78f706a551112de6fbb3362e3e9f78769e23533e5a79df4ae5823fd35c8b2a3f"),
+    "count": (dict(epsilon=1.0, r=1.0, metric="dtw", mode="count"),
+              "26a469531c0bf3006da11533920d35e5c38a0e36cc2d2f769b2a45153e5d0f10"),
+    "asym": (dict(epsilon=1.0, r=1.0, metric="dfd", mode="asym", k=2),
+             "a5380f4e111b39a3310298c48ba7e89b231fab5a100e611d353cd36cb671c48a"),
+}
+
+
+@pytest.mark.parametrize("chunk", [dictionary._CHUNK, 5])
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+@pytest.mark.parametrize("config", sorted(GOLDEN))
+def test_saved_files_keep_the_version_1_bytes(tmp_path, monkeypatch, config, backend, chunk):
+    """The same bytes after fit and save, and after a load with the other
+    backend and save, also when blocks take many chunks (5 entries each)."""
+    monkeypatch.setattr(dictionary, "_CHUNK", chunk)
+    params, digest = GOLDEN[config]
+    curves = [Curve(cid, pts) for cid, pts in GOLDEN_CURVES]
+    path = tmp_path / "idx.annc"
+    CurveIndex(backend=backend, **params).fit(curves).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    CurveIndex.load(path, backend="trie" if backend == "hash" else "hash").save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mode, backend", [("nn", "hash"), ("count", "trie")])
+def test_corrupt_files_raise_format_errors(tmp_path, mode, backend):
+    """Truncate a small index at every offset, and flip bit 0 and bit 7 of
+    every byte. Each truncated file fails with CorruptFile; a flipped one
+    either loads or fails with FormatError (CorruptFile is one): no id that
+    is not UTF-8, length field beyond the end of the file or empty registry
+    curve raises anything else. A registry that holds an id twice is
+    corrupt too."""
+    shape = np.array([[0.0], [1.0]])
+    curves = [Curve("c0", shape), Curve("c1", shape + 0.3), Curve("bcd", shape - 0.4)]
+    metric = "dtw" if mode == "count" else "dfd"
+    CurveIndex(epsilon=1.0, r=1.0, metric=metric, mode=mode).fit(curves).save(tmp_path / "idx")
+    data = (tmp_path / "idx").read_bytes()
+    path = tmp_path / "bad"
+    for size in range(len(data)):
+        path.write_bytes(data[:size])
+        with pytest.raises(CorruptFile):
+            CurveIndex.load(path, backend=backend)
+    for at, bit in itertools.product(range(len(data)), (0, 7)):
+        flipped = bytearray(data)
+        flipped[at] ^= 1 << bit
+        path.write_bytes(flipped)
+        try:
+            CurveIndex.load(path, backend=backend)
+        except FormatError:
+            pass
+    at = data.rindex(b"c1")  # in the registry, which comes last
+    path.write_bytes(data[:at] + b"c0" + data[at + 2 :])
+    with pytest.raises(CorruptFile, match="twice"):
+        CurveIndex.load(path, backend=backend)
+
+
+@pytest.mark.parametrize("mode", ["nn", "count"])
+def test_save_and_load_hold_a_few_chunks_at_a_time(tmp_path, mode):
+    """Blocks are encoded and decoded a chunk at a time. Beyond what the
+    loaded index keeps, a load holds at its peak no more than two chunks'
+    arrays, key tuples and lists, taken at 256 bytes an entry; beyond the
+    entry list of ``items()``, neither does a save. A reader or writer that
+    works on a whole block at once holds more on this index (7 chunks)."""
+    shape = np.array([[0.0], [0.4], [0.8], [0.4]])
+    curves = [Curve("c0", shape), Curve("c1", shape + 0.03)]
+    idx = CurveIndex(epsilon=0.5, r=1.0, metric="dtw", mode=mode, backend="trie").fit(curves)
+    (dct,) = idx.dicts_.values()
+    assert len(dct) >= 50_000 > 6 * dictionary._CHUNK
+    budget = 2 * dictionary._CHUNK * 256
+    path = tmp_path / "idx.annc"
+    tracemalloc.start()
+    try:
+        items = dct.items()
+        items_size = tracemalloc.get_traced_memory()[0]
+        del items
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        idx.save(path)
+        save_peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = CurveIndex.load(path, backend="trie")
+        kept, load_peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert loaded.dicts_[4].items() == dct.items()
+    assert save_peak < items_size + budget, (save_peak, items_size, budget)
+    assert load_peak - kept < budget, (load_peak, kept, budget)
