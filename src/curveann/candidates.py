@@ -11,7 +11,10 @@ the alignment-feasibility dynamic program of the metric itself:
 * finite p: the row of minimal partial p-th-power costs over anchor
   prefixes. Prefixes advance in chunks: each step extends a bounded number
   of (prefix, pool vertex) pairs at once, with numpy arrays, by the same
-  double operations as the scalar recurrence.
+  double operations as the scalar recurrence. The first and the last
+  vertex of a candidate are tried only where their cost to the first and
+  the last anchor vertex, which they must pair with, leaves room in the
+  budget.
 
 A branch dies as soon as the reachable set empties (or the row minimum
 exceeds the budget); a completed curve is accepted exactly when the full
@@ -189,9 +192,12 @@ def enumerate_lp(req):
     held as pool-index columns, the DP rows of partial p-th-power costs over
     anchor prefixes (one column of ``rows`` per prefix) and their minima. A
     step pairs each prefix with every pool vertex ``v`` such that
-    ``row_min + mind[v]`` is within the slack budget, at most
-    ``_STEP_PAIRS`` pairs at a time, and computes the pairs' new rows column
-    by column with the double operations of the scalar recurrence: a
+    ``row_min + mind[v]`` is within the slack budget, where ``mind[v]`` is
+    the cost of ``v`` to its nearest anchor vertex; the first vertex is
+    tested by its cost to the first anchor vertex, and the last vertex,
+    which pairs with the last anchor vertex, by ``row_min + cost[m-1, v]``.
+    A step extends at most ``_STEP_PAIRS`` pairs and computes their new rows
+    column by column with the double operations of the scalar recurrence: a
     sequential sum for the first vertex, then
     ``w[i] + min(row[i], row[i-1], new[i-1])``. Prefixes whose new row
     minimum exceeds the slack budget die; the others form the next chunk. A
@@ -227,17 +233,23 @@ class _LpSteps:
         order = np.argsort(mind, kind="stable")
         self.mind = mind[order]
         self.cost = np.ascontiguousarray(pw[order].T)  # cost[i, v]: anchor vertex i to pool vertex v
+        # the last vertex of a key pairs with the last anchor vertex: the
+        # pool in the order of that cost
+        self.last_order = np.argsort(self.cost[-1], kind="stable")
+        self.last_cost = self.cost[-1][self.last_order]
         self.vertices = np.empty(len(pool), dtype=object)
         for v, idx in enumerate(order.tolist()):
             self.vertices[v] = pool[idx]
         self.out = []
 
     def run(self):
-        # first vertex: its row is the running sum of its costs
+        # first vertex: its row is the running sum of its costs, so its row
+        # minimum is its cost to the first anchor vertex, which it pairs with
         first = np.cumsum(self.cost, axis=0)
-        n_first = int(np.searchsorted(self.mind, self.budget_slack, side="right"))
+        order = np.argsort(self.cost[0], kind="stable")
+        n_first = int(np.searchsorted(self.cost[0][order], self.budget_slack, side="right"))
         for lo in range(0, n_first, _STEP_PAIRS):
-            vtx = np.arange(lo, min(lo + _STEP_PAIRS, n_first))
+            vtx = order[lo : lo + _STEP_PAIRS]
             self.settle(first[:, vtx], vtx[None, :])
         return self.out
 
@@ -245,9 +257,13 @@ class _LpSteps:
         """Append one vertex to each prefix of a chunk, in bounded steps."""
         # the vertices with row_min + mind[v] <= budget_slack, and perhaps a
         # few more: the margin covers the rounding of that sum. A pair past
-        # the test makes a row whose minimum exceeds the slack budget.
+        # the test makes a row whose minimum exceeds the slack budget. The
+        # last vertex of a key pairs with the last anchor vertex, so the
+        # total of its row is at least row_min + cost[m-1, v]: at the last
+        # level that cost replaces mind[v] in the test.
         reach = self.budget_slack - row_min + self.budget_slack * 1e-12
-        counts = np.searchsorted(self.mind, reach, side="right")
+        last = prefix.shape[0] + 1 == self.req.out_len
+        counts = np.searchsorted(self.last_cost if last else self.mind, reach, side="right")
         ends = np.cumsum(counts)
         n_pairs = int(ends[-1])
         m = rows.shape[0]
@@ -255,6 +271,8 @@ class _LpSteps:
             flat = np.arange(lo, min(lo + _STEP_PAIRS, n_pairs))
             src = np.searchsorted(ends, flat, side="right")
             vtx = flat - (ends[src] - counts[src])
+            if last:
+                vtx = self.last_order[vtx]
             prev = rows[:, src]
             best = np.minimum(prev[1:], prev[:-1])
             new = self.cost[:, vtx]

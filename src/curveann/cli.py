@@ -89,7 +89,8 @@ def cmd_build(args):
     idx.save(args.out)
     print(f"index\t{args.out}")
     # wall time is run-dependent; keep stdout byte-reproducible
-    print(f"build seconds: {idx.stats_['build_seconds']:.3f}", file=sys.stderr)
+    for stage in ("build", "enumerate", "fold"):
+        print(f"{stage} seconds: {idx.stats_[stage + '_seconds']:.3f}", file=sys.stderr)
     return 0
 
 

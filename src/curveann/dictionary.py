@@ -3,8 +3,10 @@
 Two observationally equivalent backends: a hashed map (expected constant
 operations) and a prefix tree whose levels follow the curve's vertices in
 lexicographic child order (fully deterministic). Keys are tuples of lattice
-vertices (tuples of ints); payloads are either a curve id (near-neighbor
-mode) or a counter (counting mode).
+vertices (tuples of ints), all of one length per dictionary; payloads are
+either a curve id (near-neighbor mode) or a counter (counting mode). The
+tree is nested plain dicts: each level maps a vertex to the dict of the
+next, and the last level maps it to the payload.
 
 Index file layout, format version 1, little-endian with no padding: a block
 per supported query length L, then the curve registry. A block is the
@@ -48,6 +50,8 @@ _RUN = 1 << 10  # the most entries of one run of an nn/asym block decoded at onc
 
 
 def _check_key(key, out_len, d):
+    if not key:
+        raise ValueError("a key has at least one vertex")
     if out_len is not None and len(key) != out_len:
         raise ValueError(f"key length {len(key)} != dictionary length {out_len}")
     if d is not None and any(len(v) != d for v in key):
@@ -72,29 +76,35 @@ class _DictBase:
         _check_key(key, self.out_len, self.d)
         if self.out_len is None:
             self.out_len = len(key)
-        if self.d is None and key:
+        if self.d is None:
             self.d = len(key[0])
 
     def insert_first_wins(self, key, curve_id):
         """Insert only if absent; existing payloads are never overwritten."""
-        if self.counting:
-            raise ModeMismatch("insert_first_wins requires near-neighbor mode")
-        self._adopt(key)
-        return self._put_if_absent(key, curve_id)
+        before = len(self)
+        self.insert_all_first_wins((key,), curve_id)
+        return len(self) > before
 
     def increment(self, key):
         """Counting mode: absent -> 1, present -> count + 1."""
-        if not self.counting:
-            raise ModeMismatch("increment requires counting mode")
-        self._adopt(key)
-        return self._increment(key)
+        self.increment_all((key,))
+        return self._get(key)
+
+    def decrement(self, key):
+        """Counting mode: count -> count - 1, removing the key at 0; returns
+        the new count. KeyError, changing nothing, when the key is absent."""
+        self.decrement_all((key,))
+        return self._get(key) or 0
 
     def lookup(self, key):
         return self._get(key)
 
-    # internal mutation used by the dynamic index. A batch is the key set
-    # of one candidate request, whose keys share one shape: its first key
-    # is checked for all of them.
+    # batches, used by the dynamic index. A batch is the key set of one
+    # candidate request, whose keys share one shape: its first key is
+    # checked for all of them. Every key of a dictionary has the length
+    # ``out_len`` (at least 1), which the trie's layout relies on: its
+    # nodes are nested dicts down to the last level, where a vertex maps
+    # to the payload.
 
     def insert_all_first_wins(self, keys, curve_id):
         """``insert_first_wins`` for each key of a batch."""
@@ -102,9 +112,7 @@ class _DictBase:
             raise ModeMismatch("insert_first_wins requires near-neighbor mode")
         if keys:
             self._adopt(keys[0])
-        put = self._put_if_absent
-        for key in keys:
-            put(key, curve_id)
+        self._insert_all(keys, curve_id)
 
     def increment_all(self, keys):
         """``increment`` each key of a batch."""
@@ -112,9 +120,14 @@ class _DictBase:
             raise ModeMismatch("increment requires counting mode")
         if keys:
             self._adopt(keys[0])
-        inc = self._increment
-        for key in keys:
-            inc(key)
+        self._increment_all(keys)
+
+    def decrement_all(self, keys):
+        """``decrement`` each key of a batch; KeyError at the first absent
+        key, after the keys before it are decremented."""
+        if not self.counting:
+            raise ModeMismatch("decrement requires counting mode")
+        self._decrement_all(keys)
 
     def replace(self, key, payload):
         if self._get(key) is None:
@@ -129,30 +142,31 @@ class HashedDictionary(_DictBase):
         super().__init__(mode, out_len, d)
         self._map = {}
 
-    def _put_if_absent(self, key, payload):
-        if key in self._map:
-            return False
-        self._map[key] = payload
-        return True
-
     def _get(self, key):
         return self._map.get(key)
 
     def _set(self, key, payload):
         self._map[key] = payload
 
-    def _increment(self, key):
-        new = self._map.get(key, 0) + 1
-        self._map[key] = new
-        return new
+    def _insert_all(self, keys, payload):
+        put = self._map.setdefault
+        for key in keys:
+            put(key, payload)
 
-    def decrement(self, key):
-        cur = self._map[key]
-        if cur <= 1:
-            del self._map[key]
-            return 0
-        self._map[key] = cur - 1
-        return cur - 1
+    def _increment_all(self, keys):
+        stored = self._map
+        get = stored.get
+        for key in keys:
+            stored[key] = get(key, 0) + 1
+
+    def _decrement_all(self, keys):
+        stored = self._map
+        for key in keys:
+            count = stored[key]
+            if count > 1:
+                stored[key] = count - 1
+            else:
+                del stored[key]
 
     def remove(self, key):
         del self._map[key]
@@ -169,99 +183,116 @@ class HashedDictionary(_DictBase):
         return sorted(self._map.items())
 
 
-class _Node:
-    __slots__ = ("children", "terminal")
-
-    def __init__(self, terminal=None):
-        self.children = {}
-        self.terminal = terminal
-
-
 class PrefixTreeDictionary(_DictBase):
-    """Prefix-tree backend: one level per curve vertex, ordered children."""
+    """Prefix-tree backend: one level per curve vertex, ordered children.
+
+    A node is a plain dict from a vertex to the node below it; at the last
+    level the vertex maps to the payload itself. Every key has ``out_len``
+    vertices, so no inner node holds a payload, and an entry costs no
+    object beyond its slot in a last-level dict.
+    """
 
     def __init__(self, mode=MODE_NN, out_len=None, d=None):
         super().__init__(mode, out_len, d)
-        self._root = _Node()
+        self._root = {}
         self._size = 0
-        self._nodes = 1
-
-    def _walk(self, key, create):
-        node = self._root
-        for vertex in key:
-            child = node.children.get(vertex)
-            if child is None:
-                if not create:
-                    return None
-                child = _Node()
-                node.children[vertex] = child
-                self._nodes += 1
-            node = child
-        return node
-
-    def _put_if_absent(self, key, payload):
-        node = self._walk(key, create=True)
-        if node.terminal is not None:
-            return False
-        node.terminal = payload
-        self._size += 1
-        return True
 
     def _get(self, key):
-        node = self._walk(key, create=False)
-        return None if node is None else node.terminal
-
-    def _set(self, key, payload):
-        node = self._walk(key, create=True)
-        if node.terminal is None:
-            self._size += 1
-        node.terminal = payload
-
-    def _increment(self, key):
-        node = self._walk(key, create=True)
-        if node.terminal is None:
-            self._size += 1
-            node.terminal = 1
-        else:
-            node.terminal += 1
-        return node.terminal
-
-    def _path(self, key):
-        """The nodes from the root to the entry of ``key``; KeyError when
-        there is no entry."""
-        path = [self._root]
+        if len(key) != self.out_len:
+            return None
         node = self._root
         for vertex in key:
-            node = node.children.get(vertex)
+            node = node.get(vertex)
+            if node is None:
+                return None
+        return node
+
+    def _set(self, key, payload):
+        node = self._root
+        for vertex in key[:-1]:
+            node = node.setdefault(vertex, {})
+        if key[-1] not in node:
+            self._size += 1
+        node[key[-1]] = payload
+
+    # A candidate set lists the keys of one prefix one after another, so
+    # the batch loops walk again only when a key's first out_len - 1
+    # vertices differ from the previous key's.
+
+    def _insert_all(self, keys, payload):
+        root = self._root
+        added = 0
+        head = None
+        for key in keys:
+            if key[:-1] != head:
+                head = key[:-1]
+                node = root
+                for vertex in head:
+                    child = node.get(vertex)
+                    if child is None:
+                        child = node[vertex] = {}
+                    node = child
+            last = key[-1]
+            if last not in node:
+                node[last] = payload
+                added += 1
+        self._size += added
+
+    def _increment_all(self, keys):
+        root = self._root
+        added = 0
+        head = None
+        for key in keys:
+            if key[:-1] != head:
+                head = key[:-1]
+                node = root
+                for vertex in head:
+                    child = node.get(vertex)
+                    if child is None:
+                        child = node[vertex] = {}
+                    node = child
+            last = key[-1]
+            count = node.get(last)
+            if count is None:
+                node[last] = 1
+                added += 1
+            else:
+                node[last] = count + 1
+        self._size += added
+
+    def _fork(self, key):
+        """``key``'s last-level node, and the deepest node on its path with
+        another entry (the root if there is none) with the vertex below it:
+        deleting that vertex drops the entry and the nodes that served only
+        it. KeyError when there is no entry."""
+        if len(key) != self.out_len:
+            raise KeyError(key)
+        node = fork = self._root
+        below = key[0]
+        for vertex in key:
+            if len(node) > 1:
+                fork, below = node, vertex
+            leaf = node
+            node = node.get(vertex)
             if node is None:
                 raise KeyError(key)
-            path.append(node)
-        if node.terminal is None:
-            raise KeyError(key)
-        return path
+        return leaf, fork, below
 
-    def decrement(self, key):
-        path = self._path(key)
-        node = path[-1]
-        if node.terminal <= 1:
-            self._unlink(key, path)
-            return 0
-        node.terminal -= 1
-        return node.terminal
+    def _decrement_all(self, keys):
+        fork_of = self._fork
+        for key in keys:
+            leaf, fork, below = fork_of(key)
+            count = leaf[key[-1]]
+            if count > 1:
+                leaf[key[-1]] = count - 1
+            else:
+                del fork[below]
+                self._size -= 1
 
     def remove(self, key):
-        self._unlink(key, self._path(key))
-
-    def _unlink(self, key, path):
-        # drop the entry and the deepest branch that served only this key
-        path[-1].terminal = None
+        _, fork, below = self._fork(key)
+        del fork[below]
         self._size -= 1
-        for depth in range(len(key), 0, -1):
-            child = path[depth]
-            if child.children or child.terminal is not None:
-                break
-            del path[depth - 1].children[key[depth - 1]]
-            self._nodes -= 1
 
     def _append_sorted(self, keys, shared, payloads):
         """Store a chunk of a block: ``keys`` strictly increase and follow
@@ -271,43 +302,49 @@ class PrefixTreeDictionary(_DictBase):
         if not keys:
             return
         last = self.out_len - 1
-        path = [self._root]  # the inner nodes of the previous key
+        path = [self._root]  # the nodes along the previous key
         for vertex in keys[0][: shared[0]]:
-            path.append(path[-1].children[vertex])
+            path.append(path[-1][vertex])
         path += [None] * (last - shared[0])
         for key, depth, payload in zip(keys, shared, payloads):
             while depth < last:
-                child = path[depth + 1] = _Node()
-                path[depth].children[key[depth]] = child
+                child = path[depth + 1] = {}
+                path[depth][key[depth]] = child
                 depth += 1
-            path[last].children[key[last]] = _Node(payload)
+            path[last][key[last]] = payload
         self._size += len(keys)
-        self._nodes += len(keys) * self.out_len - sum(shared)
 
     def __len__(self):
         return self._size
 
     @property
     def node_count(self):
-        return self._nodes
+        """1 plus the number of distinct non-empty prefixes of the stored
+        keys: the nodes of a trie with one node per prefix."""
+        count, level = 1, [self._root]
+        for depth in range(self.out_len or 0):
+            count += sum(map(len, level))
+            if depth + 1 < self.out_len:
+                level = [child for node in level for child in node.values()]
+        return count
 
     def items(self):
         """Entries in lexicographic key order (natural traversal order)."""
         out = []
-        _collect(self._root, [], out)
+        _collect(self._root, (), self.out_len, out)
         return out
 
 
-def _collect(node, prefix, out):
-    """Append the entries under ``node``, whose key starts with ``prefix``,
-    to ``out`` in key order. A module function, not a closure, so that no
-    reference cycle keeps ``out`` alive after ``items`` returns."""
-    if node.terminal is not None:
-        out.append((tuple(prefix), node.terminal))
-    for vertex in sorted(node.children):
-        prefix.append(vertex)
-        _collect(node.children[vertex], prefix, out)
-        prefix.pop()
+def _collect(node, prefix, levels, out):
+    """Append the entries under ``node``, whose keys start with ``prefix``
+    and have ``levels`` more vertices, to ``out`` in key order. A module
+    function, not a closure, so that no reference cycle keeps ``out`` alive
+    after ``items`` returns."""
+    if levels == 1:
+        out.extend([(prefix + (vertex,), node[vertex]) for vertex in sorted(node)])
+        return
+    for vertex in sorted(node):
+        _collect(node[vertex], prefix + (vertex,), levels - 1, out)
 
 
 def make_dictionary(backend, mode=MODE_NN, out_len=None, d=None):

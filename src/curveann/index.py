@@ -167,13 +167,20 @@ class CurveIndex:
         t0 = time.perf_counter()
         kept, simplifications, skipped = self._simplify(curves)
         stats = {"lookups": 0, "candidates": {}, "dict_sizes": {}, "skipped": skipped}
+        enumerating = folding = 0.0
         for c in kept:
             for L in lengths:
+                t1 = time.perf_counter()
                 keys = self._candidates(c, L, grids[L])
-                stats["candidates"].setdefault(c.id, {})[L] = len(keys)
+                t2 = time.perf_counter()
                 self._fold(dicts[L], c.id, keys)
+                enumerating += t2 - t1
+                folding += time.perf_counter() - t2
+                stats["candidates"].setdefault(c.id, {})[L] = len(keys)
         for L in lengths:
             stats["dict_sizes"][L] = len(dicts[L])
+        stats["enumerate_seconds"] = enumerating
+        stats["fold_seconds"] = folding
         stats["build_seconds"] = time.perf_counter() - t0
         self._publish(p, d, {c.id: c for c in curves}, ids, grids, dicts,
                       simplifications, stats)
@@ -262,8 +269,7 @@ class CurveIndex:
         dct, grid = self.dicts_[L], self.grids_[L]
         keys = self._candidates(curve, L, grid)
         if self.mode == "count":
-            for key in keys:
-                dct.decrement(key)
+            dct.decrement_all(keys)
             return
         orphans = {key for key in keys if dct.lookup(key) == curve.id}
         # the slack keeps rounding from dropping a curve at the bound

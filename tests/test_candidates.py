@@ -115,6 +115,50 @@ def test_enumerate_lp_in_many_steps(p, monkeypatch):
     assert set(steps) == set(whole) == expect
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_enumerate_lp_on_spread_anchors_matches_brute_force(p, monkeypatch):
+    """Anchors of m = 3 vertices 3 to 5 apart, where a pool vertex near one
+    anchor vertex is far from the others: the first and the last vertex of
+    a key are tried only near the first and the last anchor vertex. Keys
+    are shorter than (none is within the radius), as long as and longer
+    than the anchor; steps of the default size and of 5 pairs."""
+    rng = np.random.default_rng([36, int(p)])
+    g = make_grid(0.5, p=p)
+    for out_len in (2, 3, 4):
+        for trial in range(2):
+            gaps = rng.uniform(3, 5, size=(2, 1)) * rng.choice([-1, 1], size=(2, 1))
+            anchor = Curve(f"s{trial}", np.vstack([[0.0], np.cumsum(gaps, axis=0)]))
+            radius = float(rng.uniform(1.0, 1.3))
+            pool = candidates.vertex_pool(anchor, radius, g)
+            expect = oracle.brute_candidates(anchor, pool, out_len, radius, p, g)
+            for step_pairs in (candidates._STEP_PAIRS, 5):
+                monkeypatch.setattr(candidates, "_STEP_PAIRS", step_pairs)
+                got = candidates.enumerate_lp(request(anchor, out_len, radius, g))
+                assert len(got) == len(expect) and set(got) == expect, (out_len, trial)
+
+
+def test_the_last_vertex_is_tried_only_near_the_last_anchor_vertex(monkeypatch):
+    """The last vertex of a key pairs with the last anchor vertex. On a
+    spread anchor, trying it only where that cost leaves room in the budget
+    builds under half the last-level rows that trying every vertex near
+    some anchor vertex builds (624,656 rows for these 35,850 keys)."""
+    g = grid.GridSpec.create(epsilon=0.5, r=1.0, d=1, p=1.0, m_norm=4,
+                             pairs=geometry.max_non_redundant_pairs(4, 4))
+    req = request(Curve("s", [[0.0], [4.0], [8.0], [12.0]]), 4, 1.25, g)
+    rows = []
+    settle = candidates._LpSteps.settle
+
+    def counted(self, new, prefix):
+        if prefix.shape[0] == self.req.out_len:
+            rows.append(new.shape[1])
+        return settle(self, new, prefix)
+
+    monkeypatch.setattr(candidates._LpSteps, "settle", counted)
+    keys = candidates.enumerate_lp(req)
+    assert len(keys) == len(set(keys)) == 35_850
+    assert sum(rows) < 624_656 // 2, sum(rows)
+
+
 def test_every_key_respects_the_distance_condition():
     rng = np.random.default_rng(32)
     g = make_grid(0.5, d=2)

@@ -66,6 +66,16 @@ def test_build_stats_report(tmp_path, capsys):
     assert "dictionary\tL=1\t3" in stdout
 
 
+def test_build_prints_stage_times_on_stderr_only(tmp_path, capsys):
+    inp = curve_file(tmp_path, [{"id": "only", "points": [[0.0]]}])
+    out = str(tmp_path / "idx.annc")
+    code, stdout, stderr = run(["build", "--input", inp, "--radius", "1", "--out", out], capsys)
+    assert code == 0
+    stages = [line.split(" seconds: ")[0] for line in stderr.splitlines()]
+    assert stages == ["build", "enumerate", "fold"]
+    assert "seconds" not in stdout
+
+
 def test_build_then_query(tmp_path, capsys):
     inp = curve_file(tmp_path, [
         {"id": "a", "points": [[0.0], [1.0]]},

@@ -283,3 +283,88 @@ def test_blocks_round_trip_a_chunk_at_a_time(backend, chunk, monkeypatch):
         again = io.BytesIO()
         dictionary.write_block(again, header(mode=mode, out_len=3, d=2), loaded)
         assert again.getvalue() == buf.getvalue()
+
+
+def prefixes(keys):
+    return {key[:j] for key in keys for j in range(1, len(key) + 1)}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("out_len", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["nn", "count"])
+def test_random_operations_keep_the_backends_equal(mode, out_len, d):
+    """Random single-key and batch operations on both backends. After each
+    one the entries agree, the trie has one node per distinct key prefix
+    (plus its root), and a decrement or remove of an absent key raises
+    KeyError without changing either dictionary."""
+    rng = np.random.default_rng([45, out_len, d, mode == "count"])
+    hashed, tree = (make_dictionary(b, mode=mode, out_len=out_len, d=d) for b in ("hash", "trie"))
+
+    def draw():
+        return tuple(tuple(int(x) for x in v) for v in rng.integers(-2, 2, size=(out_len, d)))
+
+    ops = (["increment", "increment_all", "decrement", "decrement_all", "remove"]
+           if mode == "count" else
+           ["insert_first_wins", "insert_all_first_wins", "replace", "remove"])
+    for step in range(300):
+        op = ops[int(rng.integers(len(ops)))]
+        stored = [key for key, _ in hashed.items()]
+        present = op in ("decrement", "remove", "replace") and stored and rng.random() < 0.8
+        if "_all" in op:
+            pool = stored if op == "decrement_all" else [draw() for _ in range(4)]
+            size = int(rng.integers(0, 5)) if pool else 0
+            batch = [pool[int(i)] for i in rng.integers(len(pool) or 1, size=size)]
+            if op == "decrement_all":  # no key more often than its count
+                batch = [key for i, key in enumerate(batch)
+                         if batch[:i].count(key) < hashed.lookup(key)]
+            args = (batch, f"c{step}") if op == "insert_all_first_wins" else (batch,)
+        else:
+            key = stored[int(rng.integers(len(stored)))] if present else draw()
+            args = (key, f"c{step}") if op in ("insert_first_wins", "replace") else (key,)
+        absent = op in ("decrement", "remove", "replace") and hashed.lookup(args[0]) is None
+        before = hashed.items()
+        for dct in (hashed, tree):
+            if absent:
+                with pytest.raises(KeyError):
+                    getattr(dct, op)(*args)
+            else:
+                getattr(dct, op)(*args)
+        if absent:
+            assert hashed.items() == before
+        assert tree.items() == hashed.items()
+        assert len(tree) == len(hashed) == len(hashed.items())
+        assert tree.node_count == 1 + len(prefixes(k for k, _ in tree.items()))
+    if mode == "count":
+        absent = ((2,) * d,) * out_len  # draw() never makes a coordinate 2
+        for dct in (hashed, tree):
+            before = dct.items()
+            with pytest.raises(KeyError):
+                dct.decrement_all([absent])
+            assert dct.items() == before
+
+
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_lookups_of_keys_of_another_length_miss(backend):
+    empty = make_dictionary(backend, out_len=2, d=1)
+    assert empty.lookup(K1) is None
+    assert make_dictionary(backend).lookup(K1) is None
+    dct = make_dictionary(backend, mode="count")
+    dct.increment(K1)
+    for key in (K1[:1], K1 + ((0,),), ()):
+        assert dct.lookup(key) is None
+        for drop in (dct.decrement, dct.remove):
+            with pytest.raises(KeyError):
+                drop(key)
+    assert dct.items() == [(K1, 1)]
+
+
+@pytest.mark.parametrize("mode", ["nn", "count"])
+def test_a_key_of_the_wrong_length_changes_nothing(mode):
+    dct = make_dictionary("trie", mode=mode)
+    insert = dct.increment if mode == "count" else lambda key: dct.insert_first_wins(key, "A")
+    insert(K1)
+    for key in (K1[:1], K1 + ((0,),), ()):
+        with pytest.raises(ValueError):
+            insert(key)
+        assert dct.items() == [(K1, 1 if mode == "count" else "A")]
+        assert (len(dct), dct.node_count) == (1, 3)

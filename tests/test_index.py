@@ -1,7 +1,10 @@
+import gc
 import hashlib
+import importlib.util
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -709,3 +712,41 @@ def test_save_and_load_hold_a_few_chunks_at_a_time(tmp_path, mode):
     assert loaded.dicts_[4].items() == dct.items()
     assert save_peak < items_size + budget, (save_peak, items_size, budget)
     assert load_peak - kept < budget, (load_peak, kept, budget)
+
+
+def _count_dtw_workload(seed):
+    """The benchmark's count-dtw inputs for ``seed`` (bench/workloads.py)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.count_dtw(seed)
+
+
+def test_a_fitted_trie_holds_under_100_bytes_an_entry():
+    """A trie entry is a slot in the dict of its key's last level, with no
+    object of its own: an index over the count-dtw inputs holds under 100
+    bytes an entry after ``fit``. A node object per entry, with a dict of
+    children each, takes about 175."""
+    wl = _count_dtw_workload(7)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        idx = CurveIndex(**dict(wl.params, backend="trie")).fit(wl.curves)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = sum(map(len, idx.dicts_.values()))
+    assert entries > 50_000
+    assert held < 100 * entries, held / entries
+
+
+@pytest.mark.parametrize("mode", ["nn", "count"])
+def test_fit_times_its_enumeration_and_fold(mode):
+    curves = [Curve("a", [[0.0], [0.5]]), Curve("b", [[0.2], [0.6]])]
+    idx = CurveIndex(epsilon=1.0, r=1.0, metric="dtw", mode=mode).fit(curves)
+    stats = idx.stats_
+    assert stats["enumerate_seconds"] >= 0 and stats["fold_seconds"] >= 0
+    assert stats["enumerate_seconds"] + stats["fold_seconds"] <= stats["build_seconds"]
