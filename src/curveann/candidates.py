@@ -22,6 +22,11 @@ alignment DP admits it, which is the same decision as
 ``geometry.distance(anchor, candidate) <= radius`` on identical floats. For
 finite p the p-th root of an accepted total is taken on Python floats.
 
+Candidates are returned as a list of keys in the form of ``grid``: the
+bytes of their int64 lattice coordinates. The min-max enumerator joins the
+vertex bytes of the class members it combines; the finite-p enumerator
+packs its accepted pool-index rows with numpy.
+
 ``CapacityExceeded`` is raised exactly when the key set exceeds
 ``max_candidates``. For min-max it is decided from the exact key count,
 before any key is built; for finite p it is checked after each batch of
@@ -74,17 +79,17 @@ def enumerate_candidates(req):
 
 
 def _pool_and_dists(req):
-    """The candidate vertex pool and its distance table to the anchor.
+    """The candidate vertex pool, as an int64 array of lattice points, and
+    its distance table to the anchor.
 
     Any vertex of a candidate within the enumeration radius must lie within
     that radius of some anchor vertex (each candidate vertex is matched to at
     least one anchor vertex, and no matched pair can exceed the total cost).
     """
-    pool = vertex_pool(req.anchor, req.enum_radius, req.grid)
-    if not pool:
-        return [], None
-    phys = np.asarray(pool, dtype=float) * req.grid.edge
-    return pool, geometry.pairwise_dists(phys, req.anchor.points)
+    pool = np.asarray(vertex_pool(req.anchor, req.enum_radius, req.grid), dtype=np.int64)
+    if not len(pool):
+        return pool, None
+    return pool, geometry.pairwise_dists(pool * req.grid.edge, req.anchor.points)
 
 
 def _guard(req, count):
@@ -125,12 +130,12 @@ def enumerate_dfd(req):
     if req.grid.p != DFD:
         raise ModeMismatch("enumerate_dfd requires the min-max metric")
     pool, adist = _pool_and_dists(req)
-    if not pool:
+    if not len(pool):
         return []
     # masks are Python ints, one bit per anchor vertex however many there are
     bits = np.packbits(adist <= req.enum_radius, axis=1, bitorder="little")
-    members = {}
-    for vertex, row in zip(pool, bits):
+    members = {}  # a class's members are the bytes of their vertices
+    for vertex, row in zip(gridmod.keys_of(pool), bits):
         members.setdefault(int.from_bytes(row.tobytes(), "little"), []).append(vertex)
     goal = 1 << (len(req.anchor) - 1)
     last = req.out_len - 1
@@ -155,7 +160,7 @@ def enumerate_dfd(req):
             for S in ways}
     _guard(req, sum(n * len(ends[S]) for S, n in ways.items()))
     if not last:
-        return list(itertools.product(ends[0]))
+        return ends[0]
 
     out = []
     chosen = [None] * req.out_len
@@ -169,7 +174,7 @@ def enumerate_dfd(req):
                 stack.append((j + 1, iter(steps[j + 1][S2])))
                 break
             chosen[last] = ends[S2]
-            out.extend(itertools.product(*chosen))
+            out.extend(map(b"".join, itertools.product(*chosen)))
         else:
             stack.pop()
     return out
@@ -209,7 +214,7 @@ def enumerate_lp(req):
     if req.grid.p == DFD:
         raise ModeMismatch("enumerate_lp requires a finite metric exponent")
     pool, adist = _pool_and_dists(req)
-    if not pool:
+    if not len(pool):
         return []
     return _LpSteps(req, pool, adist).run()
 
@@ -237,9 +242,7 @@ class _LpSteps:
         # pool in the order of that cost
         self.last_order = np.argsort(self.cost[-1], kind="stable")
         self.last_cost = self.cost[-1][self.last_order]
-        self.vertices = np.empty(len(pool), dtype=object)
-        for v, idx in enumerate(order.tolist()):
-            self.vertices[v] = pool[idx]
+        self.pool = pool[order]
         self.out = []
 
     def run(self):
@@ -294,7 +297,7 @@ class _LpSteps:
                 root = 1.0 / self.p
                 hit = hit[np.array([t ** root <= req.enum_radius for t in total[hit].tolist()],
                                    dtype=bool)]
-            self.out.extend(zip(*self.vertices[prefix[:, hit]].tolist()))
+            self.out.extend(gridmod.keys_of(self.pool[prefix[:, hit].T]))
             _guard(req, len(self.out))
             return
         row_min = new.min(axis=0)

@@ -1,12 +1,16 @@
 """Dictionaries over lattice curve keys, with binary persistence.
 
 Two observationally equivalent backends: a hashed map (expected constant
-operations) and a prefix tree whose levels follow the curve's vertices in
-lexicographic child order (fully deterministic). Keys are tuples of lattice
-vertices (tuples of ints), all of one length per dictionary; payloads are
-either a curve id (near-neighbor mode) or a counter (counting mode). The
-tree is nested plain dicts: each level maps a vertex to the dict of the
-next, and the last level maps it to the payload.
+operations) and a prefix tree with one level per curve vertex. A key is the
+``8 * L * d`` bytes of its vertices' little-endian int64 coordinates, vertex
+after vertex (``grid`` module docstring): the bytes a block stores for it. A
+dictionary takes its key shape, L vertices of d coordinates, when it is
+made. Payloads are either a curve id (near-neighbor mode) or a counter
+(counting mode). The tree is nested plain dicts: each level maps a vertex,
+the ``8 * d`` bytes of the key that hold its coordinates, to the dict of the
+next, and the last level maps it to the payload. ``items`` and blocks list
+the entries in lexicographic order of the keys' coordinates as integers,
+which is not the order of their bytes.
 
 Index file layout, format version 1, little-endian with no padding: a block
 per supported query length L, then the curve registry. A block is the
@@ -19,18 +23,21 @@ in insertion order, a u32 id length, the UTF-8 id, u32 m, u32 d and the m*d
 f64 coordinates.
 
 The entries of a block are encoded and decoded ``_CHUNK`` at a time with
-numpy; the bytes are the same as if they were packed one by one, so the
-layout above holds unchanged. Keys must strictly increase within a block: a
-reader rejects a block with keys out of order or repeated.
+numpy, from and to the key bytes held in the dictionary; the bytes are the
+same as if they were packed one by one, so the layout above holds
+unchanged. Keys must strictly increase within a block: a reader rejects a
+block with keys out of order or repeated.
 """
 
+import functools
 import io
 import struct
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
+from . import grid as gridmod
 from .errors import CorruptFile, FormatError, ModeMismatch
 
 MAGIC = b"ANNC"
@@ -49,35 +56,29 @@ _CHUNK = 1 << 13  # entries decoded or encoded per step
 _RUN = 1 << 10  # the most entries of one run of an nn/asym block decoded at once
 
 
-def _check_key(key, out_len, d):
-    if not key:
-        raise ValueError("a key has at least one vertex")
-    if out_len is not None and len(key) != out_len:
-        raise ValueError(f"key length {len(key)} != dictionary length {out_len}")
-    if d is not None and any(len(v) != d for v in key):
-        raise ValueError("key vertex dimension mismatch")
+def _check_key(key, size):
+    if not isinstance(key, bytes) or len(key) != size:
+        raise ValueError(f"a key of this dictionary is a bytes string of length {size}")
 
 
 class _DictBase:
-    """Shared mode/length bookkeeping for both backends."""
+    """Shared mode and key-shape bookkeeping for both backends. A key is
+    the ``8 * out_len * d`` bytes of its int64 coordinates (``grid`` module
+    docstring); every key of a dictionary has that shape."""
 
-    def __init__(self, mode=MODE_NN, out_len=None, d=None):
+    def __init__(self, mode=MODE_NN, *, out_len, d):
         if mode not in (MODE_NN, MODE_COUNT):
             raise ValueError(f"unknown mode {mode!r}")
+        if out_len < 1 or d < 1:
+            raise ValueError(f"bad key shape {out_len} x {d}")
         self.mode = mode
         self.out_len = out_len
         self.d = d
+        self.key_size = 8 * out_len * d
 
     @property
     def counting(self):
         return self.mode == MODE_COUNT
-
-    def _adopt(self, key):
-        _check_key(key, self.out_len, self.d)
-        if self.out_len is None:
-            self.out_len = len(key)
-        if self.d is None:
-            self.d = len(key[0])
 
     def insert_first_wins(self, key, curve_id):
         """Insert only if absent; existing payloads are never overwritten."""
@@ -101,26 +102,23 @@ class _DictBase:
 
     # batches, used by the dynamic index. A batch is the key set of one
     # candidate request, whose keys share one shape: its first key is
-    # checked for all of them. Every key of a dictionary has the length
-    # ``out_len`` (at least 1), which the trie's layout relies on: its
-    # nodes are nested dicts down to the last level, where a vertex maps
-    # to the payload.
+    # checked for all of them.
 
     def insert_all_first_wins(self, keys, curve_id):
         """``insert_first_wins`` for each key of a batch."""
         if self.counting:
             raise ModeMismatch("insert_first_wins requires near-neighbor mode")
         if keys:
-            self._adopt(keys[0])
-        self._insert_all(keys, curve_id)
+            _check_key(keys[0], self.key_size)
+            self._insert_all(keys, curve_id)
 
     def increment_all(self, keys):
         """``increment`` each key of a batch."""
         if not self.counting:
             raise ModeMismatch("increment requires counting mode")
         if keys:
-            self._adopt(keys[0])
-        self._increment_all(keys)
+            _check_key(keys[0], self.key_size)
+            self._increment_all(keys)
 
     def decrement_all(self, keys):
         """``decrement`` each key of a batch; KeyError at the first absent
@@ -134,12 +132,23 @@ class _DictBase:
             raise KeyError(key)
         self._set(key, payload)
 
+    def _ordered(self):
+        """The entries as int64 key rows and payloads, both in the order the
+        backend holds them, and the order of the keys' coordinates, compared
+        as integers lexicographically."""
+        keys, payloads = self._entries()
+        rows = self._rows(keys, len(payloads))
+        return rows, payloads, np.lexsort(rows.T[::-1])
+
+    def _rows(self, keys, count=None):
+        return gridmod.rows_of(keys, self.out_len * self.d, count)
+
 
 class HashedDictionary(_DictBase):
-    """Hash-map backend."""
+    """Hash-map backend: the keys as they are, in one dict."""
 
-    def __init__(self, mode=MODE_NN, out_len=None, d=None):
-        super().__init__(mode, out_len, d)
+    def __init__(self, mode=MODE_NN, *, out_len, d):
+        super().__init__(mode, out_len=out_len, d=d)
         self._map = {}
 
     def _get(self, key):
@@ -171,187 +180,250 @@ class HashedDictionary(_DictBase):
     def remove(self, key):
         del self._map[key]
 
-    def _append_sorted(self, keys, shared, payloads):
+    def _append_sorted(self, rows, payloads):
         """Store a chunk of a block, whose keys are distinct and absent."""
-        self._map.update(zip(keys, payloads))
+        self._map.update(zip(gridmod.keys_of(rows), payloads))
+
+    def _entries(self):
+        """The keys and the payloads, in one order."""
+        return self._map.keys(), list(self._map.values())
+
+    def items(self):
+        """Entries in lexicographic order of the keys' integer coordinates."""
+        rows, payloads, order = self._ordered()
+        out = []
+        for start in range(0, len(order), _CHUNK):
+            part = order[start : start + _CHUNK]
+            out.extend(zip(gridmod.keys_of(rows[part]), map(payloads.__getitem__, part.tolist())))
+        return out
 
     def __len__(self):
         return len(self._map)
 
-    def items(self):
-        """Entries in lexicographic key order."""
-        return sorted(self._map.items())
-
 
 class PrefixTreeDictionary(_DictBase):
-    """Prefix-tree backend: one level per curve vertex, ordered children.
+    """Prefix-tree backend: one level per curve vertex.
 
-    A node is a plain dict from a vertex to the node below it; at the last
-    level the vertex maps to the payload itself. Every key has ``out_len``
-    vertices, so no inner node holds a payload, and an entry costs no
-    object beyond its slot in a last-level dict.
+    A node is a plain dict from a vertex, the ``8 * d`` bytes of a key that
+    hold its coordinates, to the node below it; at the last level the vertex
+    maps to the payload itself. Every key has ``out_len`` vertices, so no
+    inner node holds a payload. Each vertex is one object per dictionary,
+    which all its nodes share, so an entry costs no object beyond its slot in
+    a last-level dict.
     """
 
-    def __init__(self, mode=MODE_NN, out_len=None, d=None):
-        super().__init__(mode, out_len, d)
+    def __init__(self, mode=MODE_NN, *, out_len, d):
+        super().__init__(mode, out_len=out_len, d=d)
         self._root = {}
         self._size = 0
+        self._vertices = {}  # each vertex stored, as its one shared object
+
+    @functools.cached_property
+    def _cuts(self):
+        """The slice of each vertex of a key. Made on first use, so that an
+        empty dictionary read from a file does not make one per vertex of
+        whatever key shape the file claims."""
+        size = 8 * self.d
+        return [slice(size * j, size * (j + 1)) for j in range(self.out_len)]
 
     def _get(self, key):
-        if len(key) != self.out_len:
+        if len(key) != self.key_size:
             return None
         node = self._root
-        for vertex in key:
-            node = node.get(vertex)
+        for cut in self._cuts:
+            node = node.get(key[cut])
             if node is None:
                 return None
         return node
 
     def _set(self, key, payload):
-        node = self._root
-        for vertex in key[:-1]:
-            node = node.setdefault(vertex, {})
-        if key[-1] not in node:
-            self._size += 1
-        node[key[-1]] = payload
+        """Set the payload of a stored key."""
+        leaf, last, _, _ = self._fork(key)
+        leaf[last] = payload
 
-    # A candidate set lists the keys of one prefix one after another, so
-    # the batch loops walk again only when a key's first out_len - 1
-    # vertices differ from the previous key's.
+    def _leaves(self, rows):
+        """The last-level node (made if absent) and the last vertex of each
+        key of ``rows``, int64 key rows. Keys that share their first
+        out_len - 1 vertices with the key before them share its node, and
+        only the first key of each such run walks the tree, from below the
+        vertices it shares with the first key of the run before it."""
+        d, last = self.d, self.out_len - 1
+        rows = np.ascontiguousarray(rows)
+        parts = rows.view([("head", f"V{8 * d * last}"), ("last", f"V{8 * d}")])[:, 0]
+        lasts = parts["last"].tolist()
+        if not last:
+            return repeat(self._root, len(rows)), lasts
+        head = parts["head"]
+        firsts = np.flatnonzero(head[1:] != head[:-1]) + 1
+        depths = [0, *((rows[firsts, : last * d] != rows[firsts - 1, : last * d])
+                       .argmax(axis=1) // d).tolist()]
+        starts = np.concatenate(([0], firsts))
+        intern = self._vertices.setdefault
+        # per head level, the vertex of each run as its shared object
+        columns = []
+        for j in range(last):
+            column = gridmod.keys_of(rows[starts, j * d : (j + 1) * d])
+            columns.append(list(map(intern, column, column)))
+        path = [self._root] + [None] * last  # the nodes along the run's head
+        nodes = []
+        for i, depth in enumerate(depths):
+            while depth < last:
+                vertex = columns[depth][i]
+                node = path[depth]
+                child = node.get(vertex)
+                if child is None:
+                    child = node[vertex] = {}
+                depth += 1
+                path[depth] = child
+            nodes.append(path[last])
+        sizes = np.diff(starts, append=len(rows)).tolist()
+        return chain.from_iterable(map(repeat, nodes, sizes)), lasts
+
+    def _leaves_of(self, keys):
+        """``_leaves`` of a batch of keys, ``_CHUNK`` keys at a time, as
+        (node, last vertex) pairs: the vertices made for one chunk are freed
+        before the next, not left among the nodes the fold makes."""
+        return chain.from_iterable(zip(*self._leaves(self._rows(keys[start : start + _CHUNK])))
+                                   for start in range(0, len(keys), _CHUNK))
 
     def _insert_all(self, keys, payload):
-        root = self._root
+        intern = self._vertices.setdefault
         added = 0
-        head = None
-        for key in keys:
-            if key[:-1] != head:
-                head = key[:-1]
-                node = root
-                for vertex in head:
-                    child = node.get(vertex)
-                    if child is None:
-                        child = node[vertex] = {}
-                    node = child
-            last = key[-1]
+        for node, last in self._leaves_of(keys):
             if last not in node:
-                node[last] = payload
+                node[intern(last, last)] = payload
                 added += 1
         self._size += added
 
     def _increment_all(self, keys):
-        root = self._root
+        intern = self._vertices.setdefault
         added = 0
-        head = None
-        for key in keys:
-            if key[:-1] != head:
-                head = key[:-1]
-                node = root
-                for vertex in head:
-                    child = node.get(vertex)
-                    if child is None:
-                        child = node[vertex] = {}
-                    node = child
-            last = key[-1]
+        for node, last in self._leaves_of(keys):
             count = node.get(last)
             if count is None:
-                node[last] = 1
+                node[intern(last, last)] = 1
                 added += 1
             else:
                 node[last] = count + 1
         self._size += added
 
     def _fork(self, key):
-        """``key``'s last-level node, and the deepest node on its path with
-        another entry (the root if there is none) with the vertex below it:
-        deleting that vertex drops the entry and the nodes that served only
-        it. KeyError when there is no entry."""
-        if len(key) != self.out_len:
+        """``key``'s last-level node and last vertex, and the deepest node
+        on its path with another entry (the root if there is none) with the
+        vertex below it: deleting that vertex drops the entry and the nodes
+        that served only it. KeyError when there is no entry."""
+        if len(key) != self.key_size:
             raise KeyError(key)
         node = fork = self._root
-        below = key[0]
-        for vertex in key:
+        below = key[self._cuts[0]]
+        for cut in self._cuts:
+            vertex = key[cut]
             if len(node) > 1:
                 fork, below = node, vertex
             leaf = node
             node = node.get(vertex)
             if node is None:
                 raise KeyError(key)
-        return leaf, fork, below
+        return leaf, vertex, fork, below
+
+    def _head_node(self, key):
+        """The last-level node on ``key``'s path, or an empty dict."""
+        node = self._root
+        for cut in self._cuts[:-1]:
+            node = node.get(key[cut])
+            if node is None:
+                return {}
+        return node
 
     def _decrement_all(self, keys):
-        fork_of = self._fork
+        size, cut = self.key_size, self._cuts[-1]
+        head = None
         for key in keys:
-            leaf, fork, below = fork_of(key)
-            count = leaf[key[-1]]
+            # keys with the head of the key before share its last-level node
+            if len(key) != size:
+                raise KeyError(key)
+            if key[: cut.start] != head:
+                head, leaf = key[: cut.start], self._head_node(key)
+            last = key[cut]
+            count = leaf.get(last)
+            if count is None:
+                raise KeyError(key)
             if count > 1:
-                leaf[key[-1]] = count - 1
-            else:
-                del fork[below]
-                self._size -= 1
+                leaf[last] = count - 1
+                continue
+            _, _, fork, below = self._fork(key)
+            del fork[below]
+            self._size -= 1
+            if fork is not leaf:
+                head = None  # the node is gone from the tree
 
     def remove(self, key):
-        _, fork, below = self._fork(key)
+        _, _, fork, below = self._fork(key)
         del fork[below]
         self._size -= 1
 
-    def _append_sorted(self, keys, shared, payloads):
-        """Store a chunk of a block: ``keys`` strictly increase and follow
-        every stored key, and key i has its first ``shared[i]`` vertices in
-        common with the key before it. Only the vertices after those get
-        new nodes."""
-        if not keys:
-            return
-        last = self.out_len - 1
-        path = [self._root]  # the nodes along the previous key
-        for vertex in keys[0][: shared[0]]:
-            path.append(path[-1][vertex])
-        path += [None] * (last - shared[0])
-        for key, depth, payload in zip(keys, shared, payloads):
-            while depth < last:
-                child = path[depth + 1] = {}
-                path[depth][key[depth]] = child
-                depth += 1
-            path[last][key[last]] = payload
-        self._size += len(keys)
+    def _append_sorted(self, rows, payloads):
+        """Store a chunk of a block, whose keys are distinct and absent."""
+        intern = self._vertices.setdefault
+        for node, last, payload in zip(*self._leaves(rows), payloads):
+            node[intern(last, last)] = payload
+        self._size += len(payloads)
+
+    def _entries(self):
+        """The keys and the payloads, in one order."""
+        level = [(b"", self._root)] if self._size else []  # (key prefix, node) per node
+        for _ in range(self.out_len - 1 if level else 0):
+            level = [(prefix + vertex, child)
+                     for prefix, node in level for vertex, child in node.items()]
+        keys = (prefix + vertex for prefix, node in level for vertex in node)
+        return keys, [payload for _, node in level for payload in node.values()]
 
     def __len__(self):
         return self._size
+
+    def items(self):
+        """Entries in lexicographic order of the keys' integer coordinates:
+        a walk that takes the vertices of each node in that order, which
+        holds nothing beside the list it returns but the path it is on."""
+        out = []
+        if self._size:
+            _collect(self._root, b"", self.out_len, struct.Struct(f"<{self.d}q").unpack, out)
+        return out
 
     @property
     def node_count(self):
         """1 plus the number of distinct non-empty prefixes of the stored
         keys: the nodes of a trie with one node per prefix."""
+        if not self._size:
+            return 1
         count, level = 1, [self._root]
-        for depth in range(self.out_len or 0):
+        for depth in range(self.out_len):
             count += sum(map(len, level))
             if depth + 1 < self.out_len:
                 level = [child for node in level for child in node.values()]
         return count
 
-    def items(self):
-        """Entries in lexicographic key order (natural traversal order)."""
-        out = []
-        _collect(self._root, (), self.out_len, out)
-        return out
 
-
-def _collect(node, prefix, levels, out):
+def _collect(node, prefix, levels, value, out):
     """Append the entries under ``node``, whose keys start with ``prefix``
-    and have ``levels`` more vertices, to ``out`` in key order. A module
-    function, not a closure, so that no reference cycle keeps ``out`` alive
-    after ``items`` returns."""
+    and have ``levels`` more vertices, to ``out`` in key order; ``value``
+    gives the integer coordinates of a vertex. A module function, not a
+    closure, so that no reference cycle keeps ``out`` alive after ``items``
+    returns."""
     if levels == 1:
-        out.extend([(prefix + (vertex,), node[vertex]) for vertex in sorted(node)])
+        out.extend([(prefix + vertex, node[vertex]) for vertex in sorted(node, key=value)])
         return
-    for vertex in sorted(node):
-        _collect(node[vertex], prefix + (vertex,), levels - 1, out)
+    for vertex in sorted(node, key=value):
+        _collect(node[vertex], prefix + vertex, levels - 1, value, out)
 
 
-def make_dictionary(backend, mode=MODE_NN, out_len=None, d=None):
+def make_dictionary(backend, mode=MODE_NN, *, out_len, d):
+    """An empty dictionary of ``backend``, for keys of ``out_len`` vertices
+    of ``d`` coordinates."""
     if backend == "hash":
-        return HashedDictionary(mode, out_len, d)
+        return HashedDictionary(mode, out_len=out_len, d=d)
     if backend == "trie":
-        return PrefixTreeDictionary(mode, out_len, d)
+        return PrefixTreeDictionary(mode, out_len=out_len, d=d)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -399,6 +471,8 @@ def write_block(f, header, dct):
     Entries are written in lexicographic key order, so identical contents
     always produce identical bytes regardless of backend.
     """
+    if (header.out_len, header.d) != (dct.out_len, dct.d):
+        raise ValueError("the header's key shape is not the dictionary's")
     p_enc = 0.0 if header.p == float("inf") else header.p
     f.write(
         _HEADER.pack(
@@ -413,25 +487,41 @@ def write_block(f, header, dct):
             header.edge,
         )
     )
-    items = dct.items()
-    f.write(struct.pack("<Q", len(items)))
+    rows, payloads, order = dct._ordered()
+    f.write(struct.pack("<Q", len(order)))
     width = header.out_len * header.d
-    pieces = {}  # curve id -> its u32 length and UTF-8 bytes
-    for start in range(0, len(items), _CHUNK):
-        keys, payloads = zip(*items[start : start + _CHUNK])
-        flat = np.fromiter(chain.from_iterable(chain.from_iterable(keys)), "<i8",
-                           len(keys) * width)
-        if header.mode == MODE_COUNT:
-            entries = np.empty(len(keys), _counted(width))
-            entries["key"] = flat.reshape(len(keys), width)
-            entries["count"] = payloads
+    if header.mode == MODE_COUNT:
+        counts = np.array(payloads, dtype="<u8")
+        for start in range(0, len(order), _CHUNK):
+            part = order[start : start + _CHUNK]
+            entries = np.empty(len(part), _counted(width))
+            entries["key"] = rows[part]
+            entries["count"] = counts[part]
             f.write(entries.tobytes())
-            continue
-        for cid in set(payloads).difference(pieces):
-            raw = cid.encode("utf-8")
-            pieces[cid] = struct.pack("<I", len(raw)) + raw
-        rows = flat.view(f"V{8 * width}").tolist()
-        f.write(b"".join(chain.from_iterable(zip(rows, map(pieces.__getitem__, payloads)))))
+        return
+    # each distinct id is coded once; an entry takes its id by number
+    ids = list(dict.fromkeys(payloads))
+    number = {cid: i for i, cid in enumerate(ids)}
+    codes = np.fromiter(map(number.__getitem__, payloads), np.intp, len(payloads))
+    raws = [cid.encode("utf-8") for cid in ids]
+    lengths = np.array([len(raw) for raw in raws], dtype="<u4")
+    longest = int(lengths.max(initial=0))
+    padded = np.array(raws, dtype=f"V{longest}")  # zero-padded to the longest
+    layout = np.dtype([("key", "<i8", (width,)), ("n", "<u4"), ("id", f"V{longest}")])
+    # entries with shorter ids are cut out of their padded rows by a mask
+    sizes = None if (lengths == longest).all() else 8 * width + 4 + lengths
+    step = max(1, min(_CHUNK, _CHUNK * 64 // layout.itemsize))
+    for start in range(0, len(order), step):
+        part = order[start : start + step]
+        which = codes[part]
+        entries = np.empty(len(part), layout)
+        entries["key"] = rows[part]
+        entries["n"] = lengths[which]
+        entries["id"] = padded[which]
+        if sizes is not None:
+            padded_rows = entries.view(np.uint8).reshape(len(part), layout.itemsize)
+            entries = padded_rows[np.arange(layout.itemsize) < sizes[which][:, None]]
+        f.write(entries.tobytes())
 
 
 def read_block(f, backend="hash"):
@@ -454,16 +544,16 @@ def read_block(f, backend="hash"):
     p = float("inf") if p_enc == 0.0 else p_enc
     header = DictHeader(mode=mode, p=p, epsilon=epsilon, r=r, d=d, out_len=out_len, edge=edge)
     counting = mode == MODE_COUNT
-    dct = make_dictionary(backend, MODE_COUNT if counting else MODE_NN, out_len=out_len, d=d)
     (count,) = struct.unpack("<Q", _read_exact(f, 8))
     width = out_len * d
     if count * (8 * width + (8 if counting else 4)) > _remaining(f):
         raise CorruptFile("file truncated")
+    dct = make_dictionary(backend, MODE_COUNT if counting else MODE_NN, out_len=out_len, d=d)
     chunks = _counted_chunks(f, count, width) if counting else _named_chunks(f, count, width)
     last = None  # the final key of the previous chunk
     for rows, payloads in chunks:
-        keys, shared = _keys(rows, last, out_len, d)
-        dct._append_sorted(keys, shared, payloads)
+        _check_increasing(rows, last)
+        dct._append_sorted(rows, payloads)
         last = rows[-1].copy()
     return header, dct
 
@@ -544,11 +634,10 @@ def _curve_ids(runs):
     return out.tolist()
 
 
-def _keys(rows, last, out_len, d):
-    """The key tuples of a chunk's int64 rows, and for each key how many
-    leading vertices it shares with the key before it, which for the first
-    row is ``last`` (None at the start of a block). Raises CorruptFile
-    unless the keys strictly increase."""
+def _check_increasing(rows, last):
+    """Raise CorruptFile unless the keys of a chunk's int64 rows strictly
+    increase, from ``last``, the final key of the previous chunk (None at
+    the start of a block)."""
     before = rows[:-1] if last is None else np.vstack((last, rows[:-1]))
     after = rows[1:] if last is None else rows
     differ = after != before
@@ -556,25 +645,6 @@ def _keys(rows, last, out_len, d):
     i = np.arange(len(first))
     if not (differ[i, first] & (after[i, first] > before[i, first])).all():
         raise CorruptFile("block keys are not strictly increasing")
-    shared = (first // d).tolist()
-    if last is None:
-        shared.insert(0, 0)
-    cube = rows.reshape(len(rows), out_len, d)
-    keys = list(zip(*[_vertex_column(cube[:, j, :]) for j in range(out_len)]))
-    return keys, shared
-
-
-def _vertex_column(col):
-    """The vertices of one key position across a chunk, as tuples: one
-    tuple object per distinct vertex, which the keys share."""
-    order = np.lexsort(col.T[::-1])
-    ranked = col[order]
-    new = np.ones(len(col), bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    which = np.empty(len(col), np.int64)
-    which[order] = np.cumsum(new) - 1
-    distinct = list(zip(*ranked[new].T.tolist()))
-    return map(distinct.__getitem__, which.tolist())
 
 
 def save(path, header, dct):

@@ -23,10 +23,17 @@ One rule snaps a coordinate ``c`` to its lattice coordinate, and
 IEEE-754 double arithmetic, the nearest lattice point with halves rounded
 toward +inf. A coordinate with ``|c| > edge * 2**62`` is rejected with
 ``ValueError``, which keeps lattice coordinates within signed 64 bits.
+
+A lattice curve key is a ``bytes`` string of ``8 * L * d`` bytes: the
+little-endian int64 coordinates of its L vertices, vertex after vertex.
+These are the bytes an index file stores for a key. ``snap_curve`` packs
+them directly, ``keys_of`` makes them from int64 rows, one key per row, and
+``rows_of`` reads keys back as rows.
 """
 
 import dataclasses
 import math
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -92,20 +99,26 @@ class GridSpec:
         return dataclasses.replace(spec, pairs=pairs)
 
 
-def _snap_rows(rows, edge):
-    """Lattice key of ``rows``, a list of vertices given as lists of Python
-    floats: the snap rule of the module docstring, per coordinate."""
+def _snap(coords, edge):
+    """Lattice coordinates of ``coords``, a list of Python floats: the snap
+    rule of the module docstring, per coordinate."""
     limit = edge * _COORD_LIMIT
     floor = math.floor
-    key = []
-    for row in rows:
-        z = []
-        for c in row:
-            if abs(c) > limit:
-                raise ValueError("coordinate too large for this grid edge")
-            z.append(floor(c / edge + 0.5))
-        key.append(tuple(z))
-    return tuple(key)
+    out = []
+    for c in coords:
+        if abs(c) > limit:
+            raise ValueError("coordinate too large for this grid edge")
+        out.append(floor(c / edge + 0.5))
+    return out
+
+
+# packers of keys, by their number of coordinates
+_PACKERS = {}
+
+
+def _packer(width):
+    pack = _PACKERS[width] = struct.Struct(f"<{width}q").pack
+    return pack
 
 
 def snap_point(x, grid):
@@ -113,17 +126,39 @@ def snap_point(x, grid):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (grid.d,):
         raise DimensionMismatch(f"point has shape {x.shape}, grid is {grid.d}-dim")
-    return _snap_rows([x.tolist()], grid.edge)[0]
+    return tuple(_snap(x.tolist(), grid.edge))
 
 
 def snap_curve(C, grid):
-    """Per-vertex snap; returns a lattice curve key (tuple of lattice points)."""
+    """Per-vertex snap; returns the lattice curve key (see the module
+    docstring) of the snapped vertices."""
     pts = C.points if isinstance(C, geometry.Curve) else geometry.as_points(C)
     if pts.shape[1] != grid.d:
         raise DimensionMismatch(
             f"curve has {pts.shape[1]}-dim vertices, grid is {grid.d}-dim"
         )
-    return _snap_rows(pts.tolist(), grid.edge)
+    coords = _snap(pts.ravel().tolist(), grid.edge)
+    return (_PACKERS.get(len(coords)) or _packer(len(coords)))(*coords)
+
+
+def keys_of(rows):
+    """The keys of an array of lattice coordinates, one key per entry of its
+    first axis: a row of coordinates, or an (L, d) array of vertices."""
+    width = math.prod(rows.shape[1:])
+    rows = np.ascontiguousarray(rows, dtype="<i8").reshape(len(rows), width)
+    return rows.view(f"V{8 * width}").ravel().tolist()
+
+
+def rows_of(keys, width, count=None):
+    """The ``width`` int64 coordinates of each key of ``keys`` as the rows
+    of an array. ``keys`` is a key, keys concatenated, or an iterable of
+    ``count`` keys (by default its length)."""
+    if isinstance(keys, bytes):
+        return np.frombuffer(keys, "<i8").reshape(-1, width)
+    count = len(keys) if count is None else count
+    # copied into a fixed-width array: ``bytes.join`` would hold an 80-byte
+    # buffer record per key while it runs
+    return np.fromiter(keys, f"S{8 * width}", count).view("<i8").reshape(count, width)
 
 
 def lattice_to_point(z, grid):
@@ -133,7 +168,7 @@ def lattice_to_point(z, grid):
 
 def key_to_points(key, grid):
     """Physical (m, d) array for a lattice curve key."""
-    return np.asarray(key, dtype=float) * grid.edge
+    return rows_of(key, grid.d) * grid.edge
 
 
 def grid_points_in_ball(center, radius, grid):
@@ -147,26 +182,29 @@ def grid_points_in_ball(center, radius, grid):
         raise DimensionMismatch(f"center has shape {c.shape}, grid is {grid.d}-dim")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    edge = grid.edge
     out = []
-    point = [0] * grid.d
-
-    def rec(axis, budget):
-        cc = c[axis]
-        half = math.sqrt(budget)
-        lo = math.ceil((cc - half) / edge)
-        hi = math.floor((cc + half) / edge)
-        last = axis == grid.d - 1
-        for z in range(lo, hi + 1):
-            delta = z * edge - cc
-            rem = budget - delta * delta
-            if rem < 0:
-                continue
-            point[axis] = z
-            if last:
-                out.append(tuple(point))
-            else:
-                rec(axis + 1, rem)
-
-    rec(0, radius * radius)
+    _ball_points(c.tolist(), grid.edge, 0, radius * radius, [0] * grid.d, out)
     return out
+
+
+def _ball_points(center, edge, axis, budget, point, out):
+    """Append to ``out`` each lattice point that keeps ``point[:axis]`` and
+    whose coordinates from ``axis`` on lie within squared distance
+    ``budget`` of ``center``'s. A module function, not a nested closure
+    that calls itself: such a closure is a reference cycle, which keeps
+    ``out`` alive until the cyclic garbage collector runs."""
+    cc = center[axis]
+    half = math.sqrt(budget)
+    lo = math.ceil((cc - half) / edge)
+    hi = math.floor((cc + half) / edge)
+    last = axis == len(center) - 1
+    for z in range(lo, hi + 1):
+        delta = z * edge - cc
+        rem = budget - delta * delta
+        if rem < 0:
+            continue
+        point[axis] = z
+        if last:
+            out.append(tuple(point))
+        else:
+            _ball_points(center, edge, axis + 1, rem, point, out)

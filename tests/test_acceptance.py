@@ -34,6 +34,7 @@ from curveann import (
     simplify,
 )
 from curveann.errors import CapacityExceeded
+from lattice_keys import pack, unpack_all
 
 Curve = geometry.Curve
 
@@ -251,7 +252,7 @@ def test_criterion_03_candidate_sets_equal_brute_force():
         req = candidates.CandidateRequest(
             anchor=anchor, out_len=out_len, enum_radius=radius, grid=g
         )
-        got = set(candidates.enumerate_candidates(req))
+        got = unpack_all(candidates.enumerate_candidates(req), d)
         want = oracle.brute_candidates(anchor, pool, out_len, radius, p, g)
         if got != want:
             mismatches += 1
@@ -358,17 +359,17 @@ def test_criterion_09_backend_equivalence_and_persistence(tmp_path):
     rng = np.random.default_rng(94)
     agree = True
     for mode in ("nn", "count"):
-        a = dictionary.make_dictionary("hash", mode=mode)
-        b = dictionary.make_dictionary("trie", mode=mode)
+        a = dictionary.make_dictionary("hash", mode=mode, out_len=2, d=2)
+        b = dictionary.make_dictionary("trie", mode=mode, out_len=2, d=2)
         for i in range(5_000):
-            key = tuple(tuple(int(x) for x in v) for v in rng.integers(-4, 5, size=(2, 2)))
+            key = pack(rng.integers(-4, 5, size=(2, 2)))
             if mode == "count":
                 if a.increment(key) != b.increment(key):
                     agree = False
             else:
                 if a.insert_first_wins(key, f"c{i}") != b.insert_first_wins(key, f"c{i}"):
                     agree = False
-            probe = tuple(tuple(int(x) for x in v) for v in rng.integers(-4, 5, size=(2, 2)))
+            probe = pack(rng.integers(-4, 5, size=(2, 2)))
             if a.lookup(probe) != b.lookup(probe):
                 agree = False
         if a.items() != b.items():

@@ -8,6 +8,7 @@ import pytest
 
 from curveann import candidates, geometry, grid, oracle
 from curveann.errors import CapacityExceeded, ModeMismatch
+from lattice_keys import pack, unpack_all
 
 Curve = geometry.Curve
 
@@ -33,20 +34,21 @@ def test_vertex_pool_examples():
 def test_enumerate_dfd_examples():
     g = make_grid(1.0)
     a = Curve("a", [[0.0]])
-    assert candidates.enumerate_dfd(request(a, 1, 1.5, g)) == [((-1,),), ((0,),), ((1,),)]
-    assert candidates.enumerate_dfd(request(a, 1, 0.4, g)) == [((0,),)]
+    assert candidates.enumerate_dfd(request(a, 1, 1.5, g)) == [pack(((-1,),)), pack(((0,),)),
+                                                               pack(((1,),))]
+    assert candidates.enumerate_dfd(request(a, 1, 0.4, g)) == [pack(((0,),))]
     keys = candidates.enumerate_dfd(request(Curve("a", [[0.0], [3.0]]), 2, 1.0, g))
-    expect = {((x,), (y,)) for x in (-1, 0, 1) for y in (2, 3, 4)}
+    expect = {pack(((x,), (y,))) for x in (-1, 0, 1) for y in (2, 3, 4)}
     assert set(keys) == expect
 
 
 def test_enumerate_lp_examples():
     a = Curve("a", [[0.0]])
     keys = candidates.enumerate_lp(request(a, 1, 1.0, make_grid(0.25, p=1.0)))
-    assert set(keys) == {((z,),) for z in range(-4, 5)}
+    assert set(keys) == {pack(((z,),)) for z in range(-4, 5)}
     zz = Curve("z", [[0.0], [0.0]])
     keys = candidates.enumerate_lp(request(zz, 2, 1e-12, make_grid(1.0, p=1.0)))
-    assert keys == [((0,), (0,))]
+    assert keys == [pack(((0,), (0,)))]
 
 
 def test_enumerate_lp_fractional_edge_vs_oracle():
@@ -55,7 +57,7 @@ def test_enumerate_lp_fractional_edge_vs_oracle():
     keys = candidates.enumerate_lp(request(a, 2, 0.5, g))
     pool = candidates.vertex_pool(a, 0.5, g)
     expect = oracle.brute_candidates(a, pool, 2, 0.5, 1.0, g)
-    assert set(keys) == expect
+    assert unpack_all(keys, 1) == expect
 
 
 def test_oracle_equivalence_random():
@@ -75,7 +77,7 @@ def test_oracle_equivalence_random():
         if len(pool) ** out_len > 10**6:
             continue
         expect = oracle.brute_candidates(anchor, pool, out_len, radius, p, g)
-        assert set(got) == expect, f"trial {trial}: p={p} m={m} d={d}"
+        assert unpack_all(got, d) == expect, f"trial {trial}: p={p} m={m} d={d}"
         assert len(set(got)) == len(got)
 
 
@@ -94,7 +96,7 @@ def test_enumerate_lp_matches_brute_force(p, out_len):
             got = candidates.enumerate_lp(request(anchor, out_len, radius, g))
             pool = candidates.vertex_pool(anchor, radius, g)
             expect = oracle.brute_candidates(anchor, pool, out_len, radius, p, g)
-            assert len(got) == len(expect) and set(got) == expect, (d, trial)
+            assert len(got) == len(expect) and unpack_all(got, d) == expect, (d, trial)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -112,7 +114,7 @@ def test_enumerate_lp_in_many_steps(p, monkeypatch):
     steps = candidates.enumerate_lp(req)
     expect = oracle.brute_candidates(anchor, pool, 2, 1.2, p, g)
     assert len(steps) == len(whole) == len(expect)
-    assert set(steps) == set(whole) == expect
+    assert set(steps) == set(whole) and unpack_all(steps, 2) == expect
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
@@ -134,7 +136,7 @@ def test_enumerate_lp_on_spread_anchors_matches_brute_force(p, monkeypatch):
             for step_pairs in (candidates._STEP_PAIRS, 5):
                 monkeypatch.setattr(candidates, "_STEP_PAIRS", step_pairs)
                 got = candidates.enumerate_lp(request(anchor, out_len, radius, g))
-                assert len(got) == len(expect) and set(got) == expect, (out_len, trial)
+                assert len(got) == len(expect) and unpack_all(got, 1) == expect, (out_len, trial)
 
 
 def test_the_last_vertex_is_tried_only_near_the_last_anchor_vertex(monkeypatch):
@@ -295,7 +297,7 @@ def test_a_long_min_max_anchor_matches_brute_force():
     keys = candidates.enumerate_dfd(request(anchor, 2, 1.2, g))
     pool = candidates.vertex_pool(anchor, 1.2, g)
     expect = oracle.brute_candidates(anchor, pool, 2, 1.2, math.inf, g)
-    assert expect and len(keys) == len(expect) and set(keys) == expect
+    assert expect and len(keys) == len(expect) and unpack_all(keys, 1) == expect
 
 
 @pytest.mark.parametrize("p", [math.inf, 1.0])

@@ -6,20 +6,21 @@ import pytest
 from curveann import dictionary
 from curveann.dictionary import DictHeader, make_dictionary
 from curveann.errors import CorruptFile, FormatError, ModeMismatch
+from lattice_keys import pack, unpack
 
 
 def header(mode="nn", out_len=2, d=1, edge=1.0):
     return DictHeader(mode=mode, p=float("inf"), epsilon=1.0, r=1.0, d=d, out_len=out_len, edge=edge)
 
 
-K1 = ((0,), (1,))
-K2 = ((1,), (1,))
-K3 = ((0,), (-2,))
+K1 = pack(((0,), (1,)))
+K2 = pack(((1,), (1,)))
+K3 = pack(((0,), (-2,)))
 
 
 @pytest.mark.parametrize("backend", ["hash", "trie"])
 def test_first_wins(backend):
-    dct = make_dictionary(backend)
+    dct = make_dictionary(backend, out_len=2, d=1)
     assert dct.insert_first_wins(K1, "A") is True
     assert dct.lookup(K1) == "A"
     assert dct.insert_first_wins(K1, "B") is False
@@ -30,7 +31,7 @@ def test_first_wins(backend):
 
 @pytest.mark.parametrize("backend", ["hash", "trie"])
 def test_increment(backend):
-    dct = make_dictionary(backend, mode="count")
+    dct = make_dictionary(backend, mode="count", out_len=2, d=1)
     assert dct.increment(K1) == 1
     assert dct.increment(K1) == 2
     assert dct.increment(K2) == 1
@@ -39,31 +40,28 @@ def test_increment(backend):
 
 
 def test_mode_mismatch():
-    dct = make_dictionary("hash")
+    dct = make_dictionary("hash", out_len=2, d=1)
     with pytest.raises(ModeMismatch):
         dct.increment(K1)
-    cdct = make_dictionary("trie", mode="count")
+    cdct = make_dictionary("trie", mode="count", out_len=2, d=1)
     with pytest.raises(ModeMismatch):
         cdct.insert_first_wins(K1, "A")
 
 
 def test_key_length_enforced():
-    dct = make_dictionary("hash")
+    dct = make_dictionary("hash", out_len=2, d=1)
     dct.insert_first_wins(K1, "A")
     with pytest.raises(ValueError):
-        dct.insert_first_wins(((0,),), "B")
+        dct.insert_first_wins(pack(((0,),)), "B")
 
 
 def test_backends_observationally_equivalent():
     """Identical random workloads give identical lookups on both backends."""
     rng = np.random.default_rng(41)
     for mode in ("nn", "count"):
-        a = make_dictionary("hash", mode=mode)
-        b = make_dictionary("trie", mode=mode)
-        keys = [
-            tuple(tuple(int(x) for x in v) for v in rng.integers(-3, 4, size=(2, 2)))
-            for _ in range(400)
-        ]
+        a = make_dictionary("hash", mode=mode, out_len=2, d=2)
+        b = make_dictionary("trie", mode=mode, out_len=2, d=2)
+        keys = [pack(rng.integers(-3, 4, size=(2, 2))) for _ in range(400)]
         for i, key in enumerate(keys):
             if mode == "count":
                 assert a.increment(key) == b.increment(key)
@@ -78,10 +76,9 @@ def test_backends_observationally_equivalent():
 @pytest.mark.parametrize("backend", ["hash", "trie"])
 def test_batches_equal_one_key_at_a_time(backend):
     rng = np.random.default_rng(43)
-    keys = [tuple(tuple(int(x) for x in v) for v in rng.integers(-2, 3, size=(2, 1)))
-            for _ in range(60)]
+    keys = [pack(rng.integers(-2, 3, size=(2, 1))) for _ in range(60)]
     for mode in ("nn", "count"):
-        one, batch = make_dictionary(backend, mode=mode), make_dictionary(backend, mode=mode)
+        one, batch = (make_dictionary(backend, mode=mode, out_len=2, d=1) for _ in range(2))
         for i, part in enumerate((keys[:30], keys[30:])):
             if mode == "count":
                 for key in part:
@@ -93,7 +90,7 @@ def test_batches_equal_one_key_at_a_time(backend):
                 batch.insert_all_first_wins(part, f"c{i}")
         assert batch.items() == one.items()
         assert (batch.out_len, batch.d) == (2, 1)
-    counted = make_dictionary(backend, mode="count")
+    counted = make_dictionary(backend, mode="count", out_len=2, d=1)
     counted.increment_all(keys)
     for key in keys:
         counted.decrement(key)
@@ -108,21 +105,21 @@ def test_batches_equal_one_key_at_a_time(backend):
 def test_batches_check_the_shape_and_mode(backend):
     counted = make_dictionary(backend, mode="count", out_len=2, d=1)
     with pytest.raises(ValueError):
-        counted.increment_all([((0,),), ((1,),)])
+        counted.increment_all([pack(((0,),)), pack(((1,),))])
     with pytest.raises(ModeMismatch):
         counted.insert_all_first_wins([K1], "A")
     with pytest.raises(ModeMismatch):
-        make_dictionary(backend).increment_all([K1])
+        make_dictionary(backend, out_len=2, d=1).increment_all([K1])
     counted.increment_all([])
     assert len(counted) == 0
 
 
 def test_trie_node_count_bound():
     rng = np.random.default_rng(42)
-    dct = make_dictionary("trie")
+    dct = make_dictionary("trie", out_len=3, d=2)
     stored = set()
     for i in range(300):
-        key = tuple(tuple(int(x) for x in v) for v in rng.integers(-2, 3, size=(3, 2)))
+        key = pack(rng.integers(-2, 3, size=(3, 2)))
         dct.insert_first_wins(key, f"c{i}")
         stored.add(key)
     # root excluded: every stored key contributes at most out_len nodes
@@ -130,15 +127,15 @@ def test_trie_node_count_bound():
 
 
 def test_trie_iteration_is_lexicographic():
-    dct = make_dictionary("trie")
+    dct = make_dictionary("trie", out_len=2, d=1)
     for i, key in enumerate([K2, K3, K1]):
         dct.insert_first_wins(key, f"c{i}")
     keys = [k for k, _ in dct.items()]
-    assert keys == sorted(keys)
+    assert keys == sorted(keys, key=lambda key: unpack(key, 1))
 
 
 def test_trie_remove_unlinks_branches():
-    dct = make_dictionary("trie")
+    dct = make_dictionary("trie", out_len=2, d=1)
     dct.insert_first_wins(K1, "A")
     dct.insert_first_wins(K2, "B")
     before = dct.node_count
@@ -152,7 +149,7 @@ def test_trie_remove_unlinks_branches():
 
 @pytest.mark.parametrize("backend", ["hash", "trie"])
 def test_save_load_round_trip(backend, tmp_path):
-    dct = make_dictionary(backend)
+    dct = make_dictionary(backend, out_len=2, d=1)
     for i, key in enumerate([K1, K2, K3]):
         dct.insert_first_wins(key, f"curve-{i}")
     path = tmp_path / "d.annc"
@@ -171,7 +168,7 @@ def test_save_load_empty(tmp_path):
 
 
 def test_count_mode_round_trip(tmp_path):
-    dct = make_dictionary("hash", mode="count")
+    dct = make_dictionary("hash", mode="count", out_len=2, d=1)
     dct.increment(K1)
     dct.increment(K1)
     dct.increment(K3)
@@ -190,7 +187,7 @@ def test_wrong_magic_rejected(tmp_path):
 
 
 def test_truncated_file_rejected(tmp_path):
-    dct = make_dictionary("hash")
+    dct = make_dictionary("hash", out_len=2, d=1)
     dct.insert_first_wins(K1, "A")
     path = tmp_path / "t.annc"
     dictionary.save(path, header(), dct)
@@ -201,8 +198,8 @@ def test_truncated_file_rejected(tmp_path):
 
 
 def test_serialized_bytes_identical_across_backends():
-    a = make_dictionary("hash")
-    b = make_dictionary("trie")
+    a = make_dictionary("hash", out_len=2, d=1)
+    b = make_dictionary("trie", out_len=2, d=1)
     for i, key in enumerate([K3, K1, K2]):
         a.insert_first_wins(key, f"c{i}")
         b.insert_first_wins(key, f"c{i}")
@@ -214,7 +211,7 @@ def test_serialized_bytes_identical_across_backends():
 
 def block_bytes(mode, keys, payloads):
     """A block written from ``keys`` (given in sorted order) and payloads."""
-    dct = make_dictionary("hash", mode=mode)
+    dct = make_dictionary("hash", mode=mode, out_len=2, d=1)
     for key, payload in zip(keys, payloads):
         dct._set(key, payload)
     buf = io.BytesIO()
@@ -261,14 +258,13 @@ def test_blocks_round_trip_a_chunk_at_a_time(backend, chunk, monkeypatch):
     monkeypatch.setattr(dictionary, "_CHUNK", chunk)
     rng = np.random.default_rng(44)
     names = ["", "a", "é1", "c10", "curve-4", "x" * 300]
-    keys = {tuple(tuple(int(x) for x in v) for v in rng.integers(-300, 300, size=(3, 2)))
-            for _ in range(150)}
-    keys |= {((0, 0), (1, 1), (2, j)) for j in range(40)}  # long shared prefixes
+    keys = {pack(rng.integers(-300, 300, size=(3, 2))) for _ in range(150)}
+    keys |= {pack(((0, 0), (1, 1), (2, j))) for j in range(40)}  # long shared prefixes
     for mode in ("nn", "count"):
-        built = make_dictionary(backend, mode=mode)
+        built = make_dictionary(backend, mode=mode, out_len=3, d=2)
         for key in sorted(keys, key=hash):
             if mode == "count":
-                for _ in range(1 + key[2][1] % 3):
+                for _ in range(1 + int.from_bytes(key[-8:], "little", signed=True) % 3):
                     built.increment(key)
             else:
                 built.insert_first_wins(key, names[int(rng.integers(len(names)))])
@@ -285,8 +281,35 @@ def test_blocks_round_trip_a_chunk_at_a_time(backend, chunk, monkeypatch):
         assert again.getvalue() == buf.getvalue()
 
 
-def prefixes(keys):
-    return {key[:j] for key in keys for j in range(1, len(key) + 1)}
+@pytest.mark.parametrize("mode", ["nn", "count"])
+def test_items_follow_the_integer_order_of_the_coordinates(mode):
+    """A key's bytes order differently from its coordinates: -1 packs to
+    ff bytes, 256 to 00 01. After random inserts, increments, decrements
+    and removes, both backends list the entries of a plain dict model
+    sorted by the keys' integer coordinates."""
+    rng = np.random.default_rng(46)
+    hashed, tree = (make_dictionary(b, mode=mode, out_len=2, d=2) for b in ("hash", "trie"))
+    model = {}
+    for step in range(600):
+        key = pack(rng.integers(-300, 300, size=(2, 2)) * rng.integers(1, 4))
+        if model and rng.random() < 0.3:
+            key = list(model)[int(rng.integers(len(model)))]
+            for dct in (hashed, tree):
+                dct.decrement(key) if mode == "count" else dct.remove(key)
+            model[key] = model[key] - 1 if mode == "count" else 0
+            if not model[key]:
+                del model[key]
+            continue
+        for dct in (hashed, tree):
+            dct.increment(key) if mode == "count" else dct.insert_first_wins(key, f"c{step}")
+        model[key] = model.get(key, 0) + 1 if mode == "count" else model.get(key, f"c{step}")
+    want = sorted(model.items(), key=lambda entry: unpack(entry[0], 2))
+    assert hashed.items() == tree.items() == want
+    assert [key for key, _ in want] != sorted(model)  # byte order would differ
+
+
+def prefixes(keys, d):
+    return {key[:j] for key in keys for j in range(8 * d, len(key) + 1, 8 * d)}
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -301,7 +324,7 @@ def test_random_operations_keep_the_backends_equal(mode, out_len, d):
     hashed, tree = (make_dictionary(b, mode=mode, out_len=out_len, d=d) for b in ("hash", "trie"))
 
     def draw():
-        return tuple(tuple(int(x) for x in v) for v in rng.integers(-2, 2, size=(out_len, d)))
+        return pack(rng.integers(-2, 2, size=(out_len, d)))
 
     ops = (["increment", "increment_all", "decrement", "decrement_all", "remove"]
            if mode == "count" else
@@ -333,9 +356,9 @@ def test_random_operations_keep_the_backends_equal(mode, out_len, d):
             assert hashed.items() == before
         assert tree.items() == hashed.items()
         assert len(tree) == len(hashed) == len(hashed.items())
-        assert tree.node_count == 1 + len(prefixes(k for k, _ in tree.items()))
+        assert tree.node_count == 1 + len(prefixes((k for k, _ in tree.items()), d))
     if mode == "count":
-        absent = ((2,) * d,) * out_len  # draw() never makes a coordinate 2
+        absent = pack(((2,) * d,) * out_len)  # draw() never makes a coordinate 2
         for dct in (hashed, tree):
             before = dct.items()
             with pytest.raises(KeyError):
@@ -347,10 +370,10 @@ def test_random_operations_keep_the_backends_equal(mode, out_len, d):
 def test_lookups_of_keys_of_another_length_miss(backend):
     empty = make_dictionary(backend, out_len=2, d=1)
     assert empty.lookup(K1) is None
-    assert make_dictionary(backend).lookup(K1) is None
-    dct = make_dictionary(backend, mode="count")
+    assert make_dictionary(backend, out_len=2, d=1).lookup(K1) is None
+    dct = make_dictionary(backend, mode="count", out_len=2, d=1)
     dct.increment(K1)
-    for key in (K1[:1], K1 + ((0,),), ()):
+    for key in (K1[:8], K1 + pack(((0,),)), b""):
         assert dct.lookup(key) is None
         for drop in (dct.decrement, dct.remove):
             with pytest.raises(KeyError):
@@ -360,10 +383,10 @@ def test_lookups_of_keys_of_another_length_miss(backend):
 
 @pytest.mark.parametrize("mode", ["nn", "count"])
 def test_a_key_of_the_wrong_length_changes_nothing(mode):
-    dct = make_dictionary("trie", mode=mode)
+    dct = make_dictionary("trie", mode=mode, out_len=2, d=1)
     insert = dct.increment if mode == "count" else lambda key: dct.insert_first_wins(key, "A")
     insert(K1)
-    for key in (K1[:1], K1 + ((0,),), ()):
+    for key in (K1[:8], K1 + pack(((0,),)), b""):
         with pytest.raises(ValueError):
             insert(key)
         assert dct.items() == [(K1, 1 if mode == "count" else "A")]

@@ -5,6 +5,7 @@ import pytest
 
 from curveann import geometry, grid
 from curveann.errors import DimensionMismatch
+from lattice_keys import pack
 
 
 def make_grid(edge, d=1, p=math.inf):
@@ -42,10 +43,10 @@ def test_snap_examples():
 
 def test_snap_curve_examples():
     g = make_grid(1.0)
-    assert grid.snap_curve([[0.0], [1.0]], g) == ((0,), (1,))
-    assert grid.snap_curve([[0.4], [0.6]], g) == ((0,), (1,))
+    assert grid.snap_curve([[0.0], [1.0]], g) == pack(((0,), (1,)))
+    assert grid.snap_curve([[0.4], [0.6]], g) == pack(((0,), (1,)))
     g2 = make_grid(0.5, d=2)
-    assert grid.snap_curve([[0.25, 0.25]], g2) == ((1, 1),)
+    assert grid.snap_curve([[0.25, 0.25]], g2) == pack(((1, 1),))
 
 
 def test_snap_dimension_mismatch():
@@ -130,7 +131,7 @@ def test_ball_contains_snap_of_center():
 
 def test_key_round_trip():
     g = make_grid(0.5, d=2)
-    key = ((1, -1), (0, 2))
+    key = pack(((1, -1), (0, 2)))
     pts = grid.key_to_points(key, g)
     assert grid.snap_curve(pts, g) == key
 
@@ -183,8 +184,8 @@ def test_snap_matches_the_reference_bit_for_bit(p):
                                          pairs=None if p == math.inf else 2 * m + 1)
                 pts = awkward_coordinates(rng, (m, d), g.edge)
                 want = reference_snap(pts, g)
-                assert grid.snap_curve(geometry.Curve("c", pts), g) == want
-                assert grid.snap_curve(pts.tolist(), g) == want
+                assert grid.snap_curve(geometry.Curve("c", pts), g) == pack(want)
+                assert grid.snap_curve(pts.tolist(), g) == pack(want)
                 assert tuple(grid.snap_point(v, g) for v in pts) == want
                 assert tuple(grid.snap_point(v.tolist(), g) for v in pts) == want
 
@@ -209,3 +210,24 @@ def test_snap_rejects_coordinates_beyond_the_limit_and_wrong_dimensions():
             grid.snap_curve(pts, g)
         with pytest.raises(DimensionMismatch):
             grid.snap_point(pts[0], g)
+
+
+def test_snap_curve_packs_the_int64_coordinates():
+    """The key bytes equal an independent numpy snap of the whole curve, on
+    random curves with exact halves and negative coordinates; past the
+    coordinate limit the snap raises ValueError."""
+    rng = np.random.default_rng(27)
+    for d in (1, 2, 3):
+        g = make_grid(0.3, d=d)
+        for _ in range(100):
+            m = int(rng.integers(1, 7))
+            pts = rng.uniform(-40, 40, size=(m, d))
+            halves = rng.random((m, d)) < 0.3
+            pts[halves] = (rng.integers(-100, 100, int(halves.sum())) + 0.5) * g.edge
+            want = np.floor(pts / g.edge + 0.5).astype("<i8").tobytes()
+            assert grid.snap_curve(pts, g) == want
+            assert len(want) == 8 * m * d
+        pts = np.zeros((2, d))
+        pts[1, -1] = -np.nextafter(g.edge * 2**62, np.inf)
+        with pytest.raises(ValueError, match="too large"):
+            grid.snap_curve(pts, g)

@@ -18,6 +18,7 @@ from curveann.errors import (
     ModeMismatch,
     UnsupportedLength,
 )
+from lattice_keys import pack, unpack
 
 Curve = geometry.Curve
 
@@ -37,7 +38,7 @@ def dataset(rng, n, m, d, r=1.0):
 def test_build_example_single_point_curve():
     idx = CurveIndex(epsilon=1.0, r=1.0, metric=math.inf).fit([Curve("only", [[0.0]])])
     dct = idx.dicts_[1]
-    assert sorted(k for k, _ in dct.items()) == [((-1,),), ((0,),), ((1,),)]
+    assert sorted(unpack(k, 1) for k, _ in dct.items()) == [((-1,),), ((0,),), ((1,),)]
     assert all(payload == "only" for _, payload in dct.items())
 
 
@@ -240,7 +241,7 @@ def test_a_skipped_curve_takes_no_orphan(tmp_path, reload):
         idx.save(path)
         idx = CurveIndex.load(path)
     assert idx.stats_["skipped"] == ["s"]
-    assert idx.dicts_[1].lookup(((1,),)) == "x"
+    assert idx.dicts_[1].lookup(pack(((1,),))) == "x"
     idx.delete_curve("x")
     assert len(idx.dicts_[1]) == 0
 
@@ -275,7 +276,7 @@ def check_asym_keys(idx, live):
             continue
         pool = lattice_box(c.points, radius, g.edge)
         for key in oracle.brute_candidates(c, pool, k, radius, math.inf, g):
-            owners.setdefault(key, []).append(c.id)
+            owners.setdefault(pack(key), []).append(c.id)
     assert idx.stats_["skipped"] == skipped
     assert set(idx.simplifications_) == {c.id for c in live} - set(skipped)
     assert dict(idx.dicts_[k].items()) == {key: ids[0] for key, ids in owners.items()}
@@ -714,13 +715,19 @@ def test_save_and_load_hold_a_few_chunks_at_a_time(tmp_path, mode):
     assert load_peak - kept < budget, (load_peak, kept, budget)
 
 
-def _count_dtw_workload(seed):
-    """The benchmark's count-dtw inputs for ``seed`` (bench/workloads.py)."""
+def _bench_workload(name, seed):
+    """The benchmark's inputs of workload ``name`` for ``seed``
+    (bench/workloads.py)."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.count_dtw(seed)
+    return module.WORKLOADS[name](seed)
+
+
+def _count_dtw_workload(seed):
+    """The benchmark's count-dtw inputs for ``seed``."""
+    return _bench_workload("count-dtw", seed)
 
 
 def test_a_fitted_trie_holds_under_100_bytes_an_entry():
@@ -750,3 +757,34 @@ def test_fit_times_its_enumeration_and_fold(mode):
     stats = idx.stats_
     assert stats["enumerate_seconds"] >= 0 and stats["fold_seconds"] >= 0
     assert stats["enumerate_seconds"] + stats["fold_seconds"] <= stats["build_seconds"]
+
+
+def _tracked_growth(build):
+    """``build()`` and the growth of the objects the cyclic garbage
+    collector tracks, with the collector off while it runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        built = build()
+        return built, len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("workload", ["asym-dfd", "count-dtw"])
+def test_a_hash_index_holds_no_tracked_object_per_entry(tmp_path, workload):
+    """Keys are bytes and payloads are strings or ints, which the cyclic
+    garbage collector does not track: fitting or loading a hash-backend
+    index adds fewer tracked objects than 1% of its entries, so a large
+    block sets off no full collection. Tuple keys added one an entry."""
+    wl = _bench_workload(workload, 7)
+    params = dict(wl.params, backend="hash")
+    idx, fitted = _tracked_growth(lambda: CurveIndex(**params).fit(wl.curves))
+    entries = sum(map(len, idx.dicts_.values()))
+    assert entries > 50_000
+    path = tmp_path / "idx.annc"
+    idx.save(path)
+    loaded, read = _tracked_growth(lambda: CurveIndex.load(path))
+    assert loaded.dicts_[max(loaded.dicts_)].items() == idx.dicts_[max(idx.dicts_)].items()
+    assert fitted < entries / 100 and read < entries / 100, (fitted, read, entries)
