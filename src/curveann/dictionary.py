@@ -54,6 +54,8 @@ _HEADER = struct.Struct("<4sHBdddII d".replace(" ", ""))
 
 _CHUNK = 1 << 13  # entries decoded or encoded per step
 _RUN = 1 << 10  # the most entries of one run of an nn/asym block decoded at once
+# the most bytes of a key: numpy holds no longer record (void dtype V2147483647)
+_LONGEST_KEY = (1 << 31) - 1
 
 
 def _check_key(key, size):
@@ -97,12 +99,20 @@ class _DictBase:
         self.decrement_all((key,))
         return self._get(key) or 0
 
+    def remove(self, key):
+        """Remove a stored key, whatever its payload. KeyError, changing
+        nothing, when the key is absent."""
+        payload = self._get(key)
+        if payload is None:
+            raise KeyError(key)
+        self._release((key,), payload)
+
     def lookup(self, key):
         return self._get(key)
 
-    # batches, used by the dynamic index. A batch is the key set of one
-    # candidate request, whose keys share one shape: its first key is
-    # checked for all of them.
+    # batches, the only calls the dynamic index makes to change a
+    # dictionary. A batch is the key set of one candidate request, whose
+    # keys share one shape: its first key is checked for all of them.
 
     def insert_all_first_wins(self, keys, curve_id):
         """``insert_first_wins`` for each key of a batch."""
@@ -127,10 +137,16 @@ class _DictBase:
             raise ModeMismatch("decrement requires counting mode")
         self._decrement_all(keys)
 
-    def replace(self, key, payload):
-        if self._get(key) is None:
-            raise KeyError(key)
-        self._set(key, payload)
+    def release(self, keys, curve_id):
+        """Remove the keys of a batch whose payload is ``curve_id``, in one
+        pass over the batch; returns them as a set. Keys that are absent or
+        held by another curve are left as they are."""
+        if self.counting:
+            raise ModeMismatch("release requires near-neighbor mode")
+        if not keys:
+            return set()
+        _check_key(keys[0], self.key_size)
+        return self._release(keys, curve_id)
 
     def _ordered(self):
         """The entries as int64 key rows and payloads, both in the order the
@@ -154,9 +170,6 @@ class HashedDictionary(_DictBase):
     def _get(self, key):
         return self._map.get(key)
 
-    def _set(self, key, payload):
-        self._map[key] = payload
-
     def _insert_all(self, keys, payload):
         put = self._map.setdefault
         for key in keys:
@@ -177,8 +190,18 @@ class HashedDictionary(_DictBase):
             else:
                 del stored[key]
 
-    def remove(self, key):
-        del self._map[key]
+    def _release(self, keys, curve_id):
+        # each key is looked up and deleted in one step, while its slot is
+        # still in cache
+        stored = self._map
+        get = stored.get
+        released = set()
+        add = released.add
+        for key in keys:
+            if get(key) == curve_id:
+                del stored[key]
+                add(key)
+        return released
 
     def _append_sorted(self, rows, payloads):
         """Store a chunk of a block, whose keys are distinct and absent."""
@@ -235,11 +258,6 @@ class PrefixTreeDictionary(_DictBase):
             if node is None:
                 return None
         return node
-
-    def _set(self, key, payload):
-        """Set the payload of a stored key."""
-        leaf, last, _, _ = self._fork(key)
-        leaf[last] = payload
 
     def _leaves(self, rows):
         """The last-level node (made if absent) and the last vertex of each
@@ -307,25 +325,6 @@ class PrefixTreeDictionary(_DictBase):
                 node[last] = count + 1
         self._size += added
 
-    def _fork(self, key):
-        """``key``'s last-level node and last vertex, and the deepest node
-        on its path with another entry (the root if there is none) with the
-        vertex below it: deleting that vertex drops the entry and the nodes
-        that served only it. KeyError when there is no entry."""
-        if len(key) != self.key_size:
-            raise KeyError(key)
-        node = fork = self._root
-        below = key[self._cuts[0]]
-        for cut in self._cuts:
-            vertex = key[cut]
-            if len(node) > 1:
-                fork, below = node, vertex
-            leaf = node
-            node = node.get(vertex)
-            if node is None:
-                raise KeyError(key)
-        return leaf, vertex, fork, below
-
     def _head_node(self, key):
         """The last-level node on ``key``'s path, or an empty dict."""
         node = self._root
@@ -335,32 +334,61 @@ class PrefixTreeDictionary(_DictBase):
                 return {}
         return node
 
+    def _prune(self, key):
+        """Unlink ``key``'s last-level node, just emptied, and the nodes
+        above it that held nothing else. The root stays."""
+        heads = self._cuts[:-1]
+        if not heads:
+            return  # the last-level node is the root
+        node = fork = self._root
+        below = key[heads[0]]
+        for cut in heads:
+            vertex = key[cut]
+            if len(node) > 1:
+                fork, below = node, vertex
+            node = node[vertex]
+        del fork[below]
+
+    # A batch that removes entries keeps a key's last-level node while the
+    # key's head, its first out_len - 1 vertices, is that of the key before
+    # it, and prunes a node as soon as it empties.
+
     def _decrement_all(self, keys):
-        size, cut = self.key_size, self._cuts[-1]
+        size, cut = self.key_size, self._cuts[-1].start
         head = None
         for key in keys:
-            # keys with the head of the key before share its last-level node
             if len(key) != size:
                 raise KeyError(key)
-            if key[: cut.start] != head:
-                head, leaf = key[: cut.start], self._head_node(key)
-            last = key[cut]
+            if key[:cut] != head:
+                head, leaf = key[:cut], self._head_node(key)
+            last = key[cut:]
             count = leaf.get(last)
             if count is None:
                 raise KeyError(key)
             if count > 1:
                 leaf[last] = count - 1
                 continue
-            _, _, fork, below = self._fork(key)
-            del fork[below]
+            del leaf[last]
             self._size -= 1
-            if fork is not leaf:
-                head = None  # the node is gone from the tree
+            if not leaf:
+                self._prune(key)
+                head = None
 
-    def remove(self, key):
-        _, _, fork, below = self._fork(key)
-        del fork[below]
-        self._size -= 1
+    def _release(self, keys, curve_id):
+        cut = self._cuts[-1].start
+        head, released = None, set()
+        for key in keys:
+            if key[:cut] != head:
+                head, leaf = key[:cut], self._head_node(key)
+            last = key[cut:]
+            if leaf.get(last) == curve_id:
+                del leaf[last]
+                released.add(key)
+                if not leaf:
+                    self._prune(key)
+                    head = None
+        self._size -= len(released)
+        return released
 
     def _append_sorted(self, rows, payloads):
         """Store a chunk of a block, whose keys are distinct and absent."""
@@ -527,8 +555,9 @@ def write_block(f, header, dct):
 def read_block(f, backend="hash"):
     """Read one dictionary block; returns (header, dictionary).
 
-    Raises CorruptFile when the block overruns the file, an id is not UTF-8,
-    a count is 0 or the keys do not strictly increase.
+    Raises CorruptFile when the key shape is empty or longer than numpy
+    can hold as one record, the block overruns the file, an id is not
+    UTF-8, a count is 0 or the keys do not strictly increase.
     """
     raw = _read_exact(f, _HEADER.size)
     magic, version, mode_b, p_enc, epsilon, r, d, out_len, edge = _HEADER.unpack(raw)
@@ -538,7 +567,7 @@ def read_block(f, backend="hash"):
         raise FormatError(f"unsupported format version {version}")
     if mode_b not in _BYTE_MODES:
         raise FormatError(f"unknown mode byte {mode_b}")
-    if d < 1 or out_len < 1:
+    if d < 1 or out_len < 1 or 8 * out_len * d > _LONGEST_KEY:
         raise CorruptFile(f"bad key shape {out_len} x {d}")
     mode = _BYTE_MODES[mode_b]
     p = float("inf") if p_enc == 0.0 else p_enc

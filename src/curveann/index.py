@@ -257,21 +257,29 @@ class CurveIndex:
         """Undo ``_fold`` of ``curve``'s length-L candidate set.
 
         A counted key loses one count. A key whose payload is ``curve`` is
-        an orphan: it passes to the first curve after ``curve`` in insertion
-        order whose candidate set holds it (payloads are first-wins, so no
-        earlier curve holds it), or is removed. Every alignment pairs first
-        with first and last with last, and no pair costs more than the whole
-        alignment, so a key's ends lie within (1 + eps/2) r of the ends of
-        each curve that holds it. A curve can thus share a key with
-        ``curve`` only if its first vertex and its last vertex are each
-        within twice that of ``curve``'s.
+        an orphan. One pass over the candidate set releases the orphans:
+        each is removed where it is found. Each then passes, through
+        ``insert_all_first_wins``, to the first curve after ``curve`` in
+        insertion order whose candidate set holds it (payloads are
+        first-wins, so no earlier curve holds it); it is absent by then, so
+        first-wins stores the heir. An orphan no later curve holds stays
+        removed. Every alignment pairs first with first and last with last,
+        and no pair costs more than the whole alignment, so a key's ends lie
+        within (1 + eps/2) r of the ends of each curve that holds it. A curve
+        can thus share a key with ``curve`` only if its first vertex and its
+        last vertex are each within twice that of ``curve``'s.
+
+        Releasing before the hand-off leaves no half-deleted state: a later
+        curve's enumeration cannot raise ``CapacityExceeded``, as it already
+        ran under the same guard (fitted index) or a stricter one (``load``
+        resets the guard to its default, 10^8).
         """
         dct, grid = self.dicts_[L], self.grids_[L]
         keys = self._candidates(curve, L, grid)
         if self.mode == "count":
             dct.decrement_all(keys)
             return
-        orphans = {key for key in keys if dct.lookup(key) == curve.id}
+        orphans = dct.release(keys, curve.id)
         # the slack keeps rounding from dropping a curve at the bound
         reach = 2 * (1 + self.epsilon / 2) * self.r * (1 + 1e-9)
         skipped = set(self.stats_["skipped"])
@@ -282,12 +290,9 @@ class CurveIndex:
             if (cid in skipped or math.dist(c.points[0], curve.points[0]) > reach
                     or math.dist(c.points[-1], curve.points[-1]) > reach):
                 continue
-            taken = orphans.intersection(self._candidates(c, L, grid))
-            for key in taken:
-                dct.replace(key, cid)
-            orphans -= taken
-        for key in orphans:
-            dct.remove(key)
+            taken = [key for key in self._candidates(c, L, grid) if key in orphans]
+            dct.insert_all_first_wins(taken, cid)
+            orphans.difference_update(taken)
 
     # -- queries ------------------------------------------------------------
 
@@ -374,9 +379,11 @@ class CurveIndex:
                 )
 
     def delete_curve(self, curve_id):
-        """Remove one curve. Each key it owned passes to the first later curve
-        that holds it, or is removed; only the later curves whose endpoints
-        lie within 2 (1 + eps/2) r of its own are enumerated (see ``_unfold``)."""
+        """Remove one curve. In the near-neighbor modes the keys it owned are
+        released in one pass over its candidate set; then each passes to the
+        first later curve that holds it, or stays removed. Only the later
+        curves whose endpoints lie within 2 (1 + eps/2) r of its own are
+        enumerated (see ``_unfold``)."""
         self._check_fitted()
         curve = self.registry_.get(curve_id)
         if curve is None:

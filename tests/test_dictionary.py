@@ -212,8 +212,7 @@ def test_serialized_bytes_identical_across_backends():
 def block_bytes(mode, keys, payloads):
     """A block written from ``keys`` (given in sorted order) and payloads."""
     dct = make_dictionary("hash", mode=mode, out_len=2, d=1)
-    for key, payload in zip(keys, payloads):
-        dct._set(key, payload)
+    dct._map.update(zip(keys, payloads))
     buf = io.BytesIO()
     dictionary.write_block(buf, header(mode=mode), dct)
     return buf.getvalue()
@@ -317,7 +316,7 @@ def prefixes(keys, d):
 @pytest.mark.parametrize("mode", ["nn", "count"])
 def test_random_operations_keep_the_backends_equal(mode, out_len, d):
     """Random single-key and batch operations on both backends. After each
-    one the entries agree, the trie has one node per distinct key prefix
+    one the entries and the operation's result agree, the trie has one node per distinct key prefix
     (plus its root), and a decrement or remove of an absent key raises
     KeyError without changing either dictionary."""
     rng = np.random.default_rng([45, out_len, d, mode == "count"])
@@ -328,32 +327,42 @@ def test_random_operations_keep_the_backends_equal(mode, out_len, d):
 
     ops = (["increment", "increment_all", "decrement", "decrement_all", "remove"]
            if mode == "count" else
-           ["insert_first_wins", "insert_all_first_wins", "replace", "remove"])
+           ["insert_first_wins", "insert_all_first_wins", "release", "remove"])
     for step in range(300):
         op = ops[int(rng.integers(len(ops)))]
-        stored = [key for key, _ in hashed.items()]
-        present = op in ("decrement", "remove", "replace") and stored and rng.random() < 0.8
-        if "_all" in op:
+        entries = hashed.items()
+        stored = [key for key, _ in entries]
+        present = op in ("decrement", "remove") and stored and rng.random() < 0.8
+        if "_all" in op or op == "release":
             pool = stored if op == "decrement_all" else [draw() for _ in range(4)]
+            if op == "release":
+                pool += stored
             size = int(rng.integers(0, 5)) if pool else 0
             batch = [pool[int(i)] for i in rng.integers(len(pool) or 1, size=size)]
             if op == "decrement_all":  # no key more often than its count
                 batch = [key for i, key in enumerate(batch)
                          if batch[:i].count(key) < hashed.lookup(key)]
-            args = (batch, f"c{step}") if op == "insert_all_first_wins" else (batch,)
+            if op == "release" and entries and rng.random() < 0.8:
+                owner = entries[int(rng.integers(len(entries)))][1]
+            else:
+                owner = f"c{step}"
+            args = (batch, owner) if op in ("insert_all_first_wins", "release") else (batch,)
         else:
             key = stored[int(rng.integers(len(stored)))] if present else draw()
-            args = (key, f"c{step}") if op in ("insert_first_wins", "replace") else (key,)
-        absent = op in ("decrement", "remove", "replace") and hashed.lookup(args[0]) is None
+            args = (key, f"c{step}") if op == "insert_first_wins" else (key,)
+        absent = op in ("decrement", "remove") and hashed.lookup(args[0]) is None
         before = hashed.items()
+        results = []
         for dct in (hashed, tree):
             if absent:
                 with pytest.raises(KeyError):
                     getattr(dct, op)(*args)
             else:
-                getattr(dct, op)(*args)
+                results.append(getattr(dct, op)(*args))
         if absent:
             assert hashed.items() == before
+        else:
+            assert results[0] == results[1]
         assert tree.items() == hashed.items()
         assert len(tree) == len(hashed) == len(hashed.items())
         assert tree.node_count == 1 + len(prefixes((k for k, _ in tree.items()), d))
@@ -364,6 +373,62 @@ def test_random_operations_keep_the_backends_equal(mode, out_len, d):
             with pytest.raises(KeyError):
                 dct.decrement_all([absent])
             assert dct.items() == before
+
+
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_release_is_a_lookup_then_remove_per_key(backend):
+    """Random batch inserts and releases in near-neighbor mode. A release
+    returns and removes what looking up each key of the batch and removing
+    it when ``curve_id`` holds it does, one key at a time, in a twin
+    dictionary and in a plain dict. Releasing every key leaves the trie its
+    root alone; a counting dictionary refuses a release."""
+    rng = np.random.default_rng(47)
+    dct, twin = (make_dictionary(backend, out_len=3, d=2) for _ in range(2))
+    model = {}
+    owners = [f"c{i}" for i in range(4)]
+
+    def draw(n):
+        return [pack(rng.integers(-1, 2, size=(3, 2))) for _ in range(n)]
+
+    for step in range(200):
+        owner = owners[int(rng.integers(len(owners)))]
+        if rng.random() < 0.5:
+            batch = draw(int(rng.integers(1, 40)))
+            for target in (dct, twin):
+                target.insert_all_first_wins(batch, owner)
+            for key in batch:
+                model.setdefault(key, owner)
+            continue
+        stored = list(model)
+        picks = rng.integers(len(stored) or 1, size=int(rng.integers(0, 40))) if stored else []
+        batch = [stored[int(i)] for i in picks] + draw(int(rng.integers(0, 5)))
+        rng.shuffle(batch)
+        released = set()
+        for key in batch:
+            if twin.lookup(key) == owner:
+                twin.remove(key)
+                released.add(key)
+        want = {key for key in batch if model.get(key) == owner}
+        for key in want:
+            del model[key]
+        assert dct.release(batch, owner) == released == want
+        assert dct.items() == twin.items()
+        assert dict(dct.items()) == model
+        assert len(dct) == len(twin) == len(model)
+        if backend == "trie":
+            assert dct.node_count == twin.node_count == 1 + len(prefixes(model, 2))
+    assert model
+    everything = [key for key, _ in dct.items()]
+    for owner in owners:
+        dct.release(everything, owner)
+    assert len(dct) == 0 and dct.items() == []
+    if backend == "trie":
+        assert dct.node_count == 1
+    counting = make_dictionary(backend, mode="count", out_len=3, d=2)
+    counting.increment(everything[0])
+    with pytest.raises(ModeMismatch):
+        counting.release(everything[:1], "c0")
+    assert counting.items() == [(everything[0], 1)]
 
 
 @pytest.mark.parametrize("backend", ["hash", "trie"])

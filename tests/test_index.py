@@ -450,6 +450,48 @@ def test_delete_reassigns_overlapping_keys(tmp_path):
                 assert {"a1", "b", "a2", None} <= heirs, (metric, backend, reload)
 
 
+def test_a_delete_makes_no_per_key_dictionary_call(tmp_path, monkeypatch):
+    """A near-neighbor delete releases the curve's keys as one batch and
+    hands the orphans on as batches: ``lookup``, ``remove`` and ``replace``
+    raise if called. Covers nn and asym, both backends, fitted and loaded,
+    and the hand-offs of ``test_delete_reassigns_overlapping_keys``."""
+    base = np.array([[0.0], [1.0], [2.0]])
+    overlapping = [
+        Curve("a0", base),
+        Curve("a1", base + 0.3),
+        Curve("z", base + 50.0),
+        Curve("b", base + [[2.0], [0.0], [0.0]]),
+        Curve("a2", base - 0.3),
+    ]
+    rng = np.random.default_rng(86)
+    configs = [
+        (dict(epsilon=0.5, r=1.0, metric=math.inf), overlapping, ["a0", "a1", "b"]),
+        (dict(epsilon=0.5, r=1.0, metric=2.0), overlapping, ["a0", "z"]),
+        (dict(epsilon=1.0, r=1.0, metric=math.inf, mode="asym", k=2),
+         [Curve(f"c{i}", walk(rng, 4, 2, spread=1.0) * 0.5) for i in range(4)], ["c0", "c2"]),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a per-key dictionary call during a delete")
+
+    path = tmp_path / "idx.annc"
+    for (params, curves, gone), backend, reload in itertools.product(
+            configs, ["hash", "trie"], [False, True]):
+        idx = CurveIndex(**params, backend=backend).fit(curves)
+        if reload:
+            idx.save(path)
+            idx = CurveIndex.load(path, backend=backend)
+        live = curves
+        for cid in gone:
+            with monkeypatch.context() as m:
+                for cls in (dictionary.HashedDictionary, dictionary.PrefixTreeDictionary):
+                    for name in ("lookup", "remove", "replace"):
+                        m.setattr(cls, name, refuse, raising=False)
+                idx.delete_curve(cid)
+            live = [c for c in live if c.id != cid]
+            check_equals_a_fresh_fit(idx, live)
+
+
 def test_dynamic_interleaving_matches_fresh_build():
     """Counting mode: arbitrary insert/delete order equals a fresh build."""
     rng = np.random.default_rng(77)
@@ -678,6 +720,27 @@ def test_corrupt_files_raise_format_errors(tmp_path, mode, backend):
     at = data.rindex(b"c1")  # in the registry, which comes last
     path.write_bytes(data[:at] + b"c0" + data[at + 2 :])
     with pytest.raises(CorruptFile, match="twice"):
+        CurveIndex.load(path, backend=backend)
+
+
+@pytest.mark.parametrize("out_len", [2**32 - 1, 2**31 + 2])
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_an_empty_block_whose_keys_numpy_cannot_hold_is_corrupt(tmp_path, backend, out_len):
+    """An asym index whose only curve is skipped saves an empty block. Its
+    header's L, set so that a key's 8 L d bytes exceed numpy's largest
+    record, makes the file corrupt; it does not load a dictionary whose
+    ``items`` then fails inside numpy."""
+    idx = CurveIndex(epsilon=1.0, r=1.0, metric=math.inf, mode="asym", k=1)
+    idx.fit([Curve("s", [[0.0], [2.5]])])
+    assert idx.stats_["skipped"] == ["s"]
+    path = tmp_path / "idx.annc"
+    idx.save(path)
+    data = bytearray(path.read_bytes())
+    at = dictionary._HEADER.size - 12  # the u32 L, before the f64 edge
+    assert data[at : at + 4] == (1).to_bytes(4, "little")
+    data[at : at + 4] = out_len.to_bytes(4, "little")
+    path.write_bytes(data)
+    with pytest.raises(CorruptFile, match="key shape"):
         CurveIndex.load(path, backend=backend)
 
 
