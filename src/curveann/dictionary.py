@@ -1,16 +1,16 @@
 """Dictionaries over lattice curve keys, with binary persistence.
 
 Two observationally equivalent backends: a hashed map (expected constant
-operations) and a prefix tree with one level per curve vertex. A key is the
-``8 * L * d`` bytes of its vertices' little-endian int64 coordinates, vertex
-after vertex (``grid`` module docstring): the bytes a block stores for it. A
-dictionary takes its key shape, L vertices of d coordinates, when it is
-made. Payloads are either a curve id (near-neighbor mode) or a counter
-(counting mode). The tree is nested plain dicts: each level maps a vertex,
-the ``8 * d`` bytes of the key that hold its coordinates, to the dict of the
-next, and the last level maps it to the payload. ``items`` and blocks list
-the entries in lexicographic order of the keys' coordinates as integers,
-which is not the order of their bytes.
+operations) and a prefix tree of two levels. A key is the ``8 * L * d``
+bytes of its vertices' little-endian int64 coordinates, vertex after vertex
+(``grid`` module docstring): the bytes a block stores for it. A dictionary
+takes its key shape, L vertices of d coordinates, when it is made. Payloads
+are either a curve id (near-neighbor mode) or a counter (counting mode).
+The tree's root maps a key's head, the bytes of its first L - 1 vertices,
+to a leaf that maps its last vertex, the final ``8 * d`` bytes, to the
+payload; both are plain dicts. ``items`` and blocks list the entries in
+lexicographic order of the keys' coordinates as integers, which is not the
+order of their bytes.
 
 Index file layout, format version 1, little-endian with no padding: a block
 per supported query length L, then the curve registry. A block is the
@@ -29,7 +29,6 @@ unchanged. Keys must strictly increase within a block: a reader rejects a
 block with keys out of order or repeated.
 """
 
-import functools
 import io
 import struct
 from dataclasses import dataclass
@@ -151,10 +150,12 @@ class _DictBase:
     def _ordered(self):
         """The entries as int64 key rows and payloads, both in the order the
         backend holds them, and the order of the keys' coordinates, compared
-        as integers lexicographically."""
+        as integers lexicographically. An empty dictionary sorts nothing:
+        ``np.lexsort`` takes a pass per coordinate column even with no row,
+        and an empty block read from a file may claim 2^28 - 1 of them."""
         keys, payloads = self._entries()
         rows = self._rows(keys, len(payloads))
-        return rows, payloads, np.lexsort(rows.T[::-1])
+        return rows, payloads, np.lexsort(rows.T[::-1]) if payloads else np.arange(0)
 
     def _rows(self, keys, count=None):
         return gridmod.rows_of(keys, self.out_len * self.d, count)
@@ -225,142 +226,84 @@ class HashedDictionary(_DictBase):
 
 
 class PrefixTreeDictionary(_DictBase):
-    """Prefix-tree backend: one level per curve vertex.
+    """Prefix-tree backend of two levels.
 
-    A node is a plain dict from a vertex, the ``8 * d`` bytes of a key that
-    hold its coordinates, to the node below it; at the last level the vertex
-    maps to the payload itself. Every key has ``out_len`` vertices, so no
-    inner node holds a payload. Each vertex is one object per dictionary,
-    which all its nodes share, so an entry costs no object beyond its slot in
-    a last-level dict.
+    The root is a plain dict from a key's head, the bytes of its first
+    ``out_len - 1`` vertices (``b""`` when ``out_len`` is 1), to a leaf: a
+    plain dict from the key's last vertex, its final ``8 * d`` bytes, to
+    the payload. A lookup is two probes. Every leaf holds at least one
+    entry: a leaf that empties is deleted from the root. Each last vertex is
+    one object per dictionary, which all leaves share, so an entry costs no
+    object beyond its slot in a leaf.
     """
 
     def __init__(self, mode=MODE_NN, *, out_len, d):
         super().__init__(mode, out_len=out_len, d=d)
         self._root = {}
         self._size = 0
-        self._vertices = {}  # each vertex stored, as its one shared object
-
-    @functools.cached_property
-    def _cuts(self):
-        """The slice of each vertex of a key. Made on first use, so that an
-        empty dictionary read from a file does not make one per vertex of
-        whatever key shape the file claims."""
-        size = 8 * self.d
-        return [slice(size * j, size * (j + 1)) for j in range(self.out_len)]
+        self._vertices = {}  # each last vertex stored, as its one shared object
+        self._cut = 8 * d * (out_len - 1)  # the length of a head
 
     def _get(self, key):
-        if len(key) != self.key_size:
-            return None
-        node = self._root
-        for cut in self._cuts:
-            node = node.get(key[cut])
-            if node is None:
-                return None
-        return node
+        cut = self._cut
+        leaf = self._root.get(key[:cut])
+        return None if leaf is None else leaf.get(key[cut:])
 
     def _leaves(self, rows):
-        """The last-level node (made if absent) and the last vertex of each
-        key of ``rows``, int64 key rows. Keys that share their first
-        out_len - 1 vertices with the key before them share its node, and
-        only the first key of each such run walks the tree, from below the
-        vertices it shares with the first key of the run before it."""
-        d, last = self.d, self.out_len - 1
+        """The leaf (made if absent) and the last vertex of each key of
+        ``rows``, int64 key rows. Keys whose head is that of the key before
+        them share its leaf, which only the first key of such a run looks
+        up."""
         rows = np.ascontiguousarray(rows)
-        parts = rows.view([("head", f"V{8 * d * last}"), ("last", f"V{8 * d}")])[:, 0]
-        lasts = parts["last"].tolist()
-        if not last:
-            return repeat(self._root, len(rows)), lasts
+        parts = rows.view([("head", f"V{self._cut}"), ("last", f"V{8 * self.d}")])[:, 0]
         head = parts["head"]
-        firsts = np.flatnonzero(head[1:] != head[:-1]) + 1
-        depths = [0, *((rows[firsts, : last * d] != rows[firsts - 1, : last * d])
-                       .argmax(axis=1) // d).tolist()]
-        starts = np.concatenate(([0], firsts))
-        intern = self._vertices.setdefault
-        # per head level, the vertex of each run as its shared object
-        columns = []
-        for j in range(last):
-            column = gridmod.keys_of(rows[starts, j * d : (j + 1) * d])
-            columns.append(list(map(intern, column, column)))
-        path = [self._root] + [None] * last  # the nodes along the run's head
-        nodes = []
-        for i, depth in enumerate(depths):
-            while depth < last:
-                vertex = columns[depth][i]
-                node = path[depth]
-                child = node.get(vertex)
-                if child is None:
-                    child = node[vertex] = {}
-                depth += 1
-                path[depth] = child
-            nodes.append(path[last])
+        starts = np.flatnonzero(np.concatenate(([True], head[1:] != head[:-1])))
+        root = self._root
+        leaves = [root.setdefault(key, {}) for key in head[starts].tolist()]
         sizes = np.diff(starts, append=len(rows)).tolist()
-        return chain.from_iterable(map(repeat, nodes, sizes)), lasts
+        return chain.from_iterable(map(repeat, leaves, sizes)), parts["last"].tolist()
 
     def _leaves_of(self, keys):
         """``_leaves`` of a batch of keys, ``_CHUNK`` keys at a time, as
-        (node, last vertex) pairs: the vertices made for one chunk are freed
-        before the next, not left among the nodes the fold makes."""
+        (leaf, last vertex) pairs: the vertices made for one chunk are freed
+        before the next, not left among the leaves the fold makes."""
         return chain.from_iterable(zip(*self._leaves(self._rows(keys[start : start + _CHUNK])))
                                    for start in range(0, len(keys), _CHUNK))
 
     def _insert_all(self, keys, payload):
         intern = self._vertices.setdefault
         added = 0
-        for node, last in self._leaves_of(keys):
-            if last not in node:
-                node[intern(last, last)] = payload
+        for leaf, last in self._leaves_of(keys):
+            if last not in leaf:
+                leaf[intern(last, last)] = payload
                 added += 1
         self._size += added
 
     def _increment_all(self, keys):
         intern = self._vertices.setdefault
         added = 0
-        for node, last in self._leaves_of(keys):
-            count = node.get(last)
+        for leaf, last in self._leaves_of(keys):
+            count = leaf.get(last)
             if count is None:
-                node[intern(last, last)] = 1
+                leaf[intern(last, last)] = 1
                 added += 1
             else:
-                node[last] = count + 1
+                leaf[last] = count + 1
         self._size += added
 
-    def _head_node(self, key):
-        """The last-level node on ``key``'s path, or an empty dict."""
-        node = self._root
-        for cut in self._cuts[:-1]:
-            node = node.get(key[cut])
-            if node is None:
-                return {}
-        return node
-
-    def _prune(self, key):
-        """Unlink ``key``'s last-level node, just emptied, and the nodes
-        above it that held nothing else. The root stays."""
-        heads = self._cuts[:-1]
-        if not heads:
-            return  # the last-level node is the root
-        node = fork = self._root
-        below = key[heads[0]]
-        for cut in heads:
-            vertex = key[cut]
-            if len(node) > 1:
-                fork, below = node, vertex
-            node = node[vertex]
-        del fork[below]
-
-    # A batch that removes entries keeps a key's last-level node while the
-    # key's head, its first out_len - 1 vertices, is that of the key before
-    # it, and prunes a node as soon as it empties.
+    # A batch that removes entries keeps a key's leaf while the key's head
+    # is that of the key before it. A leaf that empties is deleted from the
+    # root but stays the run's leaf, which is right: nothing is added during
+    # the batch, so every later key of the run is absent. A key of another
+    # length is absent too: its head or its last vertex has the wrong length.
 
     def _decrement_all(self, keys):
-        size, cut = self.key_size, self._cuts[-1].start
+        cut, root = self._cut, self._root
         head = None
         for key in keys:
-            if len(key) != size:
-                raise KeyError(key)
             if key[:cut] != head:
-                head, leaf = key[:cut], self._head_node(key)
+                head = key[:cut]
+                leaf = root.get(head, {})
             last = key[cut:]
             count = leaf.get(last)
             if count is None:
@@ -371,78 +314,62 @@ class PrefixTreeDictionary(_DictBase):
             del leaf[last]
             self._size -= 1
             if not leaf:
-                self._prune(key)
-                head = None
+                del root[head]
 
     def _release(self, keys, curve_id):
-        cut = self._cuts[-1].start
+        cut, root = self._cut, self._root
         head, released = None, set()
         for key in keys:
             if key[:cut] != head:
-                head, leaf = key[:cut], self._head_node(key)
+                head = key[:cut]
+                leaf = root.get(head, {})
             last = key[cut:]
             if leaf.get(last) == curve_id:
                 del leaf[last]
                 released.add(key)
                 if not leaf:
-                    self._prune(key)
-                    head = None
+                    del root[head]
         self._size -= len(released)
         return released
 
     def _append_sorted(self, rows, payloads):
         """Store a chunk of a block, whose keys are distinct and absent."""
         intern = self._vertices.setdefault
-        for node, last, payload in zip(*self._leaves(rows), payloads):
-            node[intern(last, last)] = payload
+        for leaf, last, payload in zip(*self._leaves(rows), payloads):
+            leaf[intern(last, last)] = payload
         self._size += len(payloads)
 
     def _entries(self):
         """The keys and the payloads, in one order."""
-        level = [(b"", self._root)] if self._size else []  # (key prefix, node) per node
-        for _ in range(self.out_len - 1 if level else 0):
-            level = [(prefix + vertex, child)
-                     for prefix, node in level for vertex, child in node.items()]
-        keys = (prefix + vertex for prefix, node in level for vertex in node)
-        return keys, [payload for _, node in level for payload in node.values()]
+        root = self._root
+        keys = (head + last for head, leaf in root.items() for last in leaf)
+        return keys, [payload for leaf in root.values() for payload in leaf.values()]
 
     def __len__(self):
         return self._size
 
     def items(self):
         """Entries in lexicographic order of the keys' integer coordinates:
-        a walk that takes the vertices of each node in that order, which
-        holds nothing beside the list it returns but the path it is on."""
+        the heads in that order, and the last vertices of each leaf in that
+        order. Beside the list it returns, this holds the sorted heads and
+        one leaf's sorted vertices."""
+        root = self._root
+        head_value = struct.Struct(f"<{self.out_len * self.d - self.d}q").unpack
+        value = struct.Struct(f"<{self.d}q").unpack
         out = []
-        if self._size:
-            _collect(self._root, b"", self.out_len, struct.Struct(f"<{self.d}q").unpack, out)
+        for head in sorted(root, key=head_value):
+            leaf = root[head]
+            out.extend([(head + last, leaf[last]) for last in sorted(leaf, key=value)])
         return out
 
     @property
     def node_count(self):
         """1 plus the number of distinct non-empty prefixes of the stored
-        keys: the nodes of a trie with one node per prefix."""
-        if not self._size:
-            return 1
-        count, level = 1, [self._root]
-        for depth in range(self.out_len):
-            count += sum(map(len, level))
-            if depth + 1 < self.out_len:
-                level = [child for node in level for child in node.values()]
-        return count
-
-
-def _collect(node, prefix, levels, value, out):
-    """Append the entries under ``node``, whose keys start with ``prefix``
-    and have ``levels`` more vertices, to ``out`` in key order; ``value``
-    gives the integer coordinates of a vertex. A module function, not a
-    closure, so that no reference cycle keeps ``out`` alive after ``items``
-    returns."""
-    if levels == 1:
-        out.extend([(prefix + vertex, node[vertex]) for vertex in sorted(node, key=value)])
-        return
-    for vertex in sorted(node, key=value):
-        _collect(node[vertex], prefix + vertex, levels - 1, value, out)
+        keys: the nodes of a trie with one node per prefix. The prefixes of
+        whole vertices shorter than a key are prefixes of the heads."""
+        size, cut = 8 * self.d, self._cut
+        inner = {head[:end] for head in self._root for end in range(size, cut + 1, size)}
+        return 1 + len(inner) + self._size
 
 
 def make_dictionary(backend, mode=MODE_NN, *, out_len, d):

@@ -456,3 +456,55 @@ def test_a_key_of_the_wrong_length_changes_nothing(mode):
             insert(key)
         assert dct.items() == [(K1, 1 if mode == "count" else "A")]
         assert (len(dct), dct.node_count) == (1, 3)
+
+
+@pytest.mark.parametrize("mode", ["nn", "count"])
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_an_empty_block_of_the_longest_key_shape_sorts_nothing(backend, mode):
+    """An empty block may claim any key shape numpy can hold, up to 2^28 - 1
+    coordinates at d = 1. Its dictionary lists no entry and is written back
+    as it was read, without sorting a column per coordinate."""
+    out_len = dictionary._LONGEST_KEY // 8
+    data = dictionary._HEADER.pack(dictionary.MAGIC, dictionary.FORMAT_VERSION,
+                                   dictionary._MODE_BYTES[mode], 0.0, 1.0, 1.0, 1, out_len, 1.0)
+    data += bytes(8)  # no entry
+    hdr, dct = dictionary.read_block(io.BytesIO(data), backend)
+    assert (hdr.out_len, len(dct)) == (out_len, 0)
+    assert dct.items() == []
+    out = io.BytesIO()
+    dictionary.write_block(out, hdr, dct)
+    assert out.getvalue() == data
+
+
+@pytest.mark.parametrize("mode", ["nn", "count"])
+def test_a_one_vertex_trie_empties_to_its_root(mode):
+    """With out_len 1 a key's head is empty, so the trie keeps one leaf.
+    Batches that fill and then empty twin hash and trie dictionaries agree
+    after every step, and the emptied trie is its root alone."""
+    rng = np.random.default_rng(48)
+    hashed, tree = (make_dictionary(b, mode=mode, out_len=1, d=2) for b in ("hash", "trie"))
+    keys = [pack(rng.integers(-3, 4, size=(1, 2))) for _ in range(200)]
+    batches = [keys[start : start + 50] for start in range(0, len(keys), 50)]
+
+    def check():
+        assert tree.items() == hashed.items()
+        assert len(tree) == len(hashed)
+        assert tree.node_count == 1 + len(tree)
+
+    for i, batch in enumerate(batches):
+        for dct in (hashed, tree):
+            dct.increment_all(batch) if mode == "count" else dct.insert_all_first_wins(batch, f"c{i}")
+        check()
+    assert len(tree) > 1
+    if mode == "count":
+        shuffled = [keys[int(i)] for i in rng.permutation(len(keys))]
+        for start in range(0, len(keys), 50):
+            for dct in (hashed, tree):
+                dct.decrement_all(shuffled[start : start + 50])
+            check()
+    else:
+        for i in reversed(range(len(batches))):
+            assert tree.release(keys, f"c{i}") == hashed.release(keys, f"c{i}")
+            check()
+    assert tree.items() == [] and len(tree) == 0
+    assert tree.node_count == 1
