@@ -4,8 +4,8 @@ Curve files are line-delimited JSON records:
 
     {"id": "c1", "points": [[0.0, 1.0], [2.0, 3.0]]}
 
-Exit codes: 0 success, 2 parse/usage error, 3 capacity exceeded,
-4 bad index file format.
+Exit codes: 0 success, 2 parse/usage error or a file that cannot be read
+or written, 3 capacity exceeded, 4 bad index file format.
 """
 
 import argparse
@@ -262,7 +262,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapacityExceeded as exc:

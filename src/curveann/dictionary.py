@@ -25,8 +25,12 @@ f64 coordinates.
 The entries of a block are encoded and decoded ``_CHUNK`` at a time with
 numpy, from and to the key bytes held in the dictionary; the bytes are the
 same as if they were packed one by one, so the layout above holds
-unchanged. Keys must strictly increase within a block: a reader rejects a
-block with keys out of order or repeated.
+unchanged. A writer orders a block by one argsort of one int64 sort key per
+entry (``_order``): the key's coordinates in mixed radix. Where the next
+coordinate would take the sort key past 2^62 values, the sort key so far is
+first replaced by its dense rank, and a coordinate column wider than that
+enters by its own rank. Keys must strictly increase within a block: a
+reader rejects a block with keys out of order or repeated.
 """
 
 import io
@@ -55,11 +59,53 @@ _CHUNK = 1 << 13  # entries decoded or encoded per step
 _RUN = 1 << 10  # the most entries of one run of an nn/asym block decoded at once
 # the most bytes of a key: numpy holds no longer record (void dtype V2147483647)
 _LONGEST_KEY = (1 << 31) - 1
+# the most distinct values one int64 sort key of ``_order`` takes
+_SORT_SPAN = 1 << 62
 
 
 def _check_key(key, size):
     if not isinstance(key, bytes) or len(key) != size:
         raise ValueError(f"a key of this dictionary is a bytes string of length {size}")
+
+
+def _ranked(values):
+    """The dense rank of each of ``values``, and the number of ranks."""
+    distinct, ranks = np.unique(values, return_inverse=True)
+    return ranks, len(distinct)
+
+
+def _order(rows):
+    """The order of distinct int64 rows, compared as integers
+    lexicographically, by one argsort.
+
+    Each row gets one int64 sort key: its columns in mixed radix, a column
+    entering as ``col - col.min()`` with the key so far scaled by the
+    column's span. The key stays below ``_SORT_SPAN``: where a column would
+    take it past, the key so far is first replaced by its dense rank (at
+    most one value per row), and a column that is still too wide, such as
+    one spanning the whole int64 range, enters by its own rank. Ranks keep
+    the order, so the keys order as the rows do, and distinct rows get
+    distinct keys: an unstable argsort is enough. No rows, no pass over
+    their columns.
+    """
+    if not len(rows):
+        return np.arange(0)
+    key, span = np.zeros(len(rows), np.int64), 1
+    for col in rows.T:
+        low = int(col.min())
+        size = int(col.max()) - low + 1
+        if span * size > _SORT_SPAN:
+            key, span = _ranked(key)
+        if span * size > _SORT_SPAN:
+            col, size = _ranked(col)
+            low = 0
+        # in place, with no array per column: int64 arithmetic wraps, so a
+        # sum that leaves the int64 range on the way still ends exact
+        key *= size
+        key += col
+        key -= low
+        span *= size
+    return np.argsort(key)
 
 
 class _DictBase:
@@ -150,12 +196,11 @@ class _DictBase:
     def _ordered(self):
         """The entries as int64 key rows and payloads, both in the order the
         backend holds them, and the order of the keys' coordinates, compared
-        as integers lexicographically. An empty dictionary sorts nothing:
-        ``np.lexsort`` takes a pass per coordinate column even with no row,
-        and an empty block read from a file may claim 2^28 - 1 of them."""
-        keys, payloads = self._entries()
-        rows = self._rows(keys, len(payloads))
-        return rows, payloads, np.lexsort(rows.T[::-1]) if payloads else np.arange(0)
+        as integers lexicographically: one argsort of one int64 sort key
+        per row (``_order``). An empty dictionary sorts nothing, although
+        an empty block read from a file may claim 2^28 - 1 columns."""
+        rows, payloads = self._entries()
+        return rows, payloads, _order(rows)
 
     def _rows(self, keys, count=None):
         return gridmod.rows_of(keys, self.out_len * self.d, count)
@@ -209,8 +254,8 @@ class HashedDictionary(_DictBase):
         self._map.update(zip(gridmod.keys_of(rows), payloads))
 
     def _entries(self):
-        """The keys and the payloads, in one order."""
-        return self._map.keys(), list(self._map.values())
+        """The int64 key rows and the payloads, in one order."""
+        return self._rows(self._map.keys(), len(self._map)), list(self._map.values())
 
     def items(self):
         """Entries in lexicographic order of the keys' integer coordinates."""
@@ -234,7 +279,9 @@ class PrefixTreeDictionary(_DictBase):
     the payload. A lookup is two probes. Every leaf holds at least one
     entry: a leaf that empties is deleted from the root. Each last vertex is
     one object per dictionary, which all leaves share, so an entry costs no
-    object beyond its slot in a leaf.
+    object beyond its slot in a leaf. A block is written from int64 rows
+    read off the heads and the leaves' vertices, with no key made per
+    entry.
     """
 
     def __init__(self, mode=MODE_NN, *, out_len, d):
@@ -340,10 +387,18 @@ class PrefixTreeDictionary(_DictBase):
         self._size += len(payloads)
 
     def _entries(self):
-        """The keys and the payloads, in one order."""
-        root = self._root
-        keys = (head + last for head, leaf in root.items() for last in leaf)
-        return keys, [payload for leaf in root.values() for payload in leaf.values()]
+        """The int64 key rows and the payloads, in one order: the leaves in
+        the root's order, each in its own. The head columns are the root's
+        heads, each repeated once per entry of its leaf, and the last
+        columns the leaves' vertices; no key is made."""
+        root, count = self._root, self._size
+        rows = np.empty((count, self.out_len * self.d), np.int64)
+        cut = self._cut // 8  # the head's columns
+        if cut:
+            sizes = np.fromiter(map(len, root.values()), np.intp, len(root))
+            rows[:, :cut] = np.repeat(gridmod.rows_of(root.keys(), cut, len(root)), sizes, axis=0)
+        rows[:, cut:] = gridmod.rows_of(chain.from_iterable(root.values()), self.d, count)
+        return rows, list(chain.from_iterable(map(dict.values, root.values())))
 
     def __len__(self):
         return self._size

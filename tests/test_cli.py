@@ -191,6 +191,25 @@ def test_format_exit_code(tmp_path, capsys):
     assert code == cli.EXIT_FORMAT
 
 
+@pytest.mark.parametrize("case", ["missing index", "missing input", "unwritable out"])
+def test_files_that_cannot_be_read_or_written_are_usage_errors(tmp_path, capsys, case):
+    """A missing index or curve file, or an output path in a missing
+    directory, ends with one error line on stderr and exit code 2, not a
+    traceback."""
+    inp = curve_file(tmp_path, [{"id": "a", "points": [[0.0], [1.0]]}])
+    missing = str(tmp_path / "missing" / "file")
+    argv = {
+        "missing index": ["query", "--index", missing, "--queries", inp],
+        "missing input": ["build", "--input", missing, "--radius", "1",
+                          "--out", str(tmp_path / "o")],
+        "unwritable out": ["build", "--input", inp, "--radius", "1", "--out", missing],
+    }[case]
+    code, _, stderr = run(argv, capsys)
+    assert code == cli.EXIT_PARSE
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith("error: ") and missing in stderr
+
+
 def test_bench_runs_clean(tmp_path, capsys):
     csv_path = str(tmp_path / "bench.csv")
     code, stdout, _ = run(

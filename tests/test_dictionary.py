@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -305,6 +306,66 @@ def test_items_follow_the_integer_order_of_the_coordinates(mode):
     want = sorted(model.items(), key=lambda entry: unpack(entry[0], 2))
     assert hashed.items() == tree.items() == want
     assert [key for key, _ in want] != sorted(model)  # byte order would differ
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _coordinates(rng, source, out_len, d, n):
+    """``n`` random (out_len, d) keys' coordinates drawn from ``source``."""
+    shape = (n, out_len, d)
+    if source == "int64":
+        return rng.integers(_INT64.min, _INT64.max, size=shape, endpoint=True)
+    if source == "snap limit":  # snap_curve's bound
+        return rng.integers(-(1 << 62), 1 << 62, size=shape, endpoint=True)
+    if source == "2^62 wide":  # each column fits one sort key, two do not
+        return rng.integers(-(1 << 61), 1 << 61, size=shape)
+    # small values, a few heads shared by many keys
+    coords = rng.integers(-300, 300, size=shape)
+    coords[:, :-1] = rng.integers(-2, 2, size=(3, out_len - 1, d))[rng.integers(3, size=n)]
+    return coords
+
+
+@pytest.mark.parametrize("source", ["int64", "snap limit", "2^62 wide", "shared heads"])
+@pytest.mark.parametrize("out_len, d", [(1, 1), (1, 3), (3, 2), (4, 1)])
+@pytest.mark.parametrize("mode", ["nn", "count"])
+def test_blocks_list_extreme_keys_in_integer_order(mode, out_len, d, source):
+    """Keys anywhere in the int64 range, near snap_curve's 2^62 limit, or
+    small with long shared heads: both backends write the same block,
+    whose entries are those of a plain dict model sorted by the keys'
+    integer coordinates, packed one by one; reading it gives them back."""
+    rng = np.random.default_rng(49)
+    keys = list(dict.fromkeys(map(pack, _coordinates(rng, source, out_len, d, 300))))
+    names = ["", "a", "é1", "curve-10"]
+    model = {key: 1 + i % 3 if mode == "count" else names[i % 4] for i, key in enumerate(keys)}
+    hdr = header(mode=mode, out_len=out_len, d=d)
+    blocks = []
+    for backend in ("hash", "trie"):
+        dct = make_dictionary(backend, mode=mode, out_len=out_len, d=d)
+        for i in rng.permutation(len(keys)):
+            key = keys[i]
+            if mode == "count":
+                for _ in range(model[key]):
+                    dct.increment(key)
+            else:
+                dct.insert_first_wins(key, model[key])
+        buf = io.BytesIO()
+        dictionary.write_block(buf, hdr, dct)
+        blocks.append(buf.getvalue())
+    assert blocks[0] == blocks[1]
+    want = sorted(model.items(), key=lambda entry: unpack(entry[0], d))
+    if mode == "count":
+        entries = [key + struct.pack("<Q", count) for key, count in want]
+    else:
+        entries = [key + struct.pack("<I", len(cid.encode())) + cid.encode() for key, cid in want]
+    start = dictionary._HEADER.size
+    assert blocks[0][start:] == struct.pack("<Q", len(want)) + b"".join(entries)
+    for backend in ("hash", "trie"):
+        _, loaded = dictionary.read_block(io.BytesIO(blocks[0]), backend)
+        assert loaded.items() == want
+        again = io.BytesIO()
+        dictionary.write_block(again, hdr, loaded)
+        assert again.getvalue() == blocks[0]
 
 
 def prefixes(keys, d):
