@@ -9,9 +9,12 @@ or written, 3 capacity exceeded, 4 bad index file format.
 """
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -75,18 +78,42 @@ def _index_from_args(args):
     return idx
 
 
+def _file_beside(path):
+    """A new empty file in the directory of ``path``, with the permissions
+    a new ``path`` would get; ParseError if that directory takes no file."""
+    try:
+        fd, name = tempfile.mkstemp(prefix=".curveann-", dir=os.path.dirname(os.path.abspath(path)))
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
+    os.close(fd)
+    umask = os.umask(0)
+    os.umask(umask)
+    os.chmod(name, 0o666 & ~umask)
+    return name
+
+
 def cmd_build(args):
     curves = read_curve_file(args.input)
-    idx = _index_from_args(args).fit(curves)
-    for cid in idx._order:
-        per_len = idx.stats_["candidates"].get(cid, {})
-        total = sum(per_len.values())
-        print(f"candidates\t{cid}\t{total}")
-    for cid in idx.stats_["skipped"]:
-        print(f"skipped\t{cid}\tno {idx.k}-point simplification within 2r")
-    for L in sorted(idx.dicts_):
-        print(f"dictionary\tL={L}\t{len(idx.dicts_[L])}")
-    idx.save(args.out)
+    idx = _index_from_args(args)
+    # the index goes to a file beside --out, renamed onto it once saved: an
+    # --out that cannot be written fails before fit, and a failed build
+    # leaves an existing --out as it was
+    tmp = _file_beside(args.out)
+    try:
+        idx.fit(curves)
+        for cid in idx._order:
+            per_len = idx.stats_["candidates"].get(cid, {})
+            total = sum(per_len.values())
+            print(f"candidates\t{cid}\t{total}")
+        for cid in idx.stats_["skipped"]:
+            print(f"skipped\t{cid}\tno {idx.k}-point simplification within 2r")
+        for L in sorted(idx.dicts_):
+            print(f"dictionary\tL={L}\t{len(idx.dicts_[L])}")
+        idx.save(tmp)
+        os.replace(tmp, args.out)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
     print(f"index\t{args.out}")
     # wall time is run-dependent; keep stdout byte-reproducible
     for stage in ("build", "enumerate", "fold"):

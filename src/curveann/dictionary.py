@@ -24,13 +24,13 @@ f64 coordinates.
 
 The entries of a block are encoded and decoded ``_CHUNK`` at a time with
 numpy, from and to the key bytes held in the dictionary; the bytes are the
-same as if they were packed one by one, so the layout above holds
-unchanged. A writer orders a block by one argsort of one int64 sort key per
-entry (``_order``): the key's coordinates in mixed radix. Where the next
-coordinate would take the sort key past 2^62 values, the sort key so far is
-first replaced by its dense rank, and a coordinate column wider than that
-enters by its own rank. Keys must strictly increase within a block: a
-reader rejects a block with keys out of order or repeated.
+same as if they were packed one by one. Writer and reader share one int64
+sort key per entry (``_sort_key``): the key's coordinates in mixed radix,
+with dense ranks where it would pass 2^62 values. A writer argsorts it. A
+reader requires it to increase within a chunk, and each chunk to start
+above the last key before it, so keys out of order or repeated are
+rejected. It views an nn/asym block in runs of one id length, which have
+one stride, and decodes the first id of a stretch of equal ids only.
 """
 
 import io
@@ -56,10 +56,10 @@ _BYTE_MODES = {v: k for k, v in _MODE_BYTES.items()}
 _HEADER = struct.Struct("<4sHBdddII d".replace(" ", ""))
 
 _CHUNK = 1 << 13  # entries decoded or encoded per step
-_RUN = 1 << 10  # the most entries of one run of an nn/asym block decoded at once
+_PROBE = 1 << 6  # entries of an nn/asym block a run's first probe views
 # the most bytes of a key: numpy holds no longer record (void dtype V2147483647)
 _LONGEST_KEY = (1 << 31) - 1
-# the most distinct values one int64 sort key of ``_order`` takes
+# the most distinct values one int64 sort key of ``_sort_key`` takes
 _SORT_SPAN = 1 << 62
 
 
@@ -76,20 +76,23 @@ def _ranked(values):
 
 def _order(rows):
     """The order of distinct int64 rows, compared as integers
-    lexicographically, by one argsort.
+    lexicographically: one argsort of their ``_sort_key``. Distinct rows
+    get distinct sort keys, so an unstable argsort is enough. No rows, no
+    pass over their columns."""
+    return np.argsort(_sort_key(rows)) if len(rows) else np.arange(0)
 
-    Each row gets one int64 sort key: its columns in mixed radix, a column
-    entering as ``col - col.min()`` with the key so far scaled by the
-    column's span. The key stays below ``_SORT_SPAN``: where a column would
-    take it past, the key so far is first replaced by its dense rank (at
-    most one value per row), and a column that is still too wide, such as
-    one spanning the whole int64 range, enters by its own rank. Ranks keep
-    the order, so the keys order as the rows do, and distinct rows get
-    distinct keys: an unstable argsort is enough. No rows, no pass over
-    their columns.
+
+def _sort_key(rows):
+    """One int64 per row of a non-empty array of int64 rows, which orders
+    and ties as the rows do, compared as integers lexicographically.
+
+    The sort key is the row's columns in mixed radix, a column entering as
+    ``col - col.min()`` with the key so far scaled by the column's span. It
+    stays below ``_SORT_SPAN``: where a column would take it past, the key
+    so far is first replaced by its dense rank (at most one value per row),
+    and a column that is still too wide, such as one spanning the whole
+    int64 range, enters by its own rank. Ranks keep the order and the ties.
     """
-    if not len(rows):
-        return np.arange(0)
     key, span = np.zeros(len(rows), np.int64), 1
     for col in rows.T:
         low = int(col.min())
@@ -105,7 +108,7 @@ def _order(rows):
         key += col
         key -= low
         span *= size
-    return np.argsort(key)
+    return key
 
 
 class _DictBase:
@@ -534,12 +537,13 @@ def write_block(f, header, dct):
         f.write(entries.tobytes())
 
 
-def read_block(f, backend="hash"):
+def read_block(f, backend="hash", ids=None):
     """Read one dictionary block; returns (header, dictionary).
 
     Raises CorruptFile when the key shape is empty or longer than numpy
     can hold as one record, the block overruns the file, an id is not
-    UTF-8, a count is 0 or the keys do not strictly increase.
+    UTF-8, a count is 0 or the keys do not strictly increase. ``ids``, if
+    given, is a set to which the block's distinct curve ids are added.
     """
     raw = _read_exact(f, _HEADER.size)
     magic, version, mode_b, p_enc, epsilon, r, d, out_len, edge = _HEADER.unpack(raw)
@@ -560,12 +564,14 @@ def read_block(f, backend="hash"):
     if count * (8 * width + (8 if counting else 4)) > _remaining(f):
         raise CorruptFile("file truncated")
     dct = make_dictionary(backend, MODE_COUNT if counting else MODE_NN, out_len=out_len, d=d)
-    chunks = _counted_chunks(f, count, width) if counting else _named_chunks(f, count, width)
+    names = {}  # the block's id table: the bytes of each distinct id -> its str
+    chunks = _counted_chunks(f, count, width) if counting else _named_chunks(f, count, width, names)
     last = None  # the final key of the previous chunk
     for rows, payloads in chunks:
-        _check_increasing(rows, last)
+        last = _check_increasing(rows, last)
         dct._append_sorted(rows, payloads)
-        last = rows[-1].copy()
+    if ids is not None:
+        ids.update(names.values())
     return header, dct
 
 
@@ -581,24 +587,27 @@ def _counted_chunks(f, count, width):
         yield entries["key"], entries["count"].tolist()
 
 
-def _named_chunks(f, count, width):
+def _named_chunks(f, count, width, names):
     """The entries of an nn/asym block, up to ``_CHUNK`` at a time, as (key
-    rows, curve ids).
+    rows, curve ids); ``names`` is the block's id table, which this fills.
 
     Entries whose ids have one byte length n have the fixed stride
-    ``8 * width + 4 + n``, so up to ``_RUN`` of them are decoded at once: a
-    run ends at the first length field that differs from n, where the next
-    run starts.
+    ``8 * width + 4 + n``, so a probe views many of them at once: a run
+    ends at the first length field that differs from n, where the next run
+    starts. A probe views ``_PROBE`` entries, twice as many each time the
+    run outlasts it, also into the next chunk, and ``_PROBE`` again once
+    the run ends: a block read stays linear in its size, and a block of
+    one id length takes one view per chunk.
     """
     key_size = 8 * width
     end = f.tell() + _remaining(f)
     layouts = {}  # id length -> the layout of an entry
     buf, pos = b"", 0  # bytes read ahead, and where the next entry starts in them
+    probe = _PROBE
     for start in range(0, count, _CHUNK):
         want = min(_CHUNK, count - start)
-        runs = []  # (id length, entries) per run of the chunk
-        got = 0
-        while got < want:
+        keys, ids = [], []
+        while want:
             buf, pos = _ahead(f, buf, pos, key_size + 4, end)
             n = int.from_bytes(buf[pos + key_size : pos + key_size + 4], "little")
             # the entry must fit in the file; a head cut short fails here too
@@ -607,15 +616,17 @@ def _named_chunks(f, count, width):
             if n not in layouts:
                 layouts[n] = np.dtype([("key", "<i8", (width,)), ("n", "<u4"), ("id", f"V{n}")])
             layout = layouts[n]
-            buf, pos = _ahead(f, buf, pos, min(want - got, _RUN) * layout.itemsize, end)
-            k = min(want - got, _RUN, (len(buf) - pos) // layout.itemsize)
+            buf, pos = _ahead(f, buf, pos, min(want, probe) * layout.itemsize, end)
+            k = min(want, probe, (len(buf) - pos) // layout.itemsize)
             entries = np.frombuffer(buf, layout, k, pos)
             # the first length field is n: argmax is 0 only if none differs
             run = int((entries["n"] != n).argmax()) or k
-            runs.append((n, entries[:run]))
+            probe = min(2 * probe, _CHUNK) if run == k else _PROBE
+            keys.append(entries["key"][:run])
+            _decode_ids(entries["id"][:run], names, ids)
             pos += run * layout.itemsize
-            got += run
-        yield np.concatenate([entries["key"] for _, entries in runs]), _curve_ids(runs)
+            want -= run
+        yield np.concatenate(keys), ids
     f.seek(pos - len(buf), io.SEEK_CUR)  # give back what was read ahead
 
 
@@ -629,33 +640,32 @@ def _ahead(f, buf, pos, size, end):
     return buf[pos:] + f.read(min(more, end - f.tell())), 0
 
 
-def _curve_ids(runs):
-    """The ids of a chunk's runs, in entry order; each distinct id is
-    decoded once."""
-    lengths = np.repeat([n for n, _ in runs], [len(entries) for _, entries in runs])
-    out = np.empty(len(lengths), dtype=object)
-    for n in {n for n, _ in runs}:
-        ids, which = np.unique(np.concatenate([e["id"] for m, e in runs if m == n]),
-                               return_inverse=True)
-        try:
-            names = [raw.decode("utf-8") for raw in ids.tolist()]
-        except UnicodeDecodeError as exc:
-            raise CorruptFile(f"curve id is not UTF-8: {exc}") from exc
-        out[lengths == n] = np.array(names, dtype=object)[which]
-    return out.tolist()
+def _decode_ids(raw, names, out):
+    """Append to ``out`` the curve id of each of ``raw``, the id bytes of a
+    run of entries: one compare of each id with the one before finds the
+    stretches of equal ids, and only the first id of a stretch is looked up
+    in ``names``, the block's id table. An id new to the table is decoded,
+    so all entries of one id share one str."""
+    starts = np.flatnonzero(np.concatenate(([True], raw[1:] != raw[:-1])))
+    for first, size in zip(raw[starts].tolist(), np.diff(starts, append=len(raw)).tolist()):
+        name = names.get(first)
+        if name is None:
+            try:
+                name = names[first] = first.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorruptFile(f"curve id is not UTF-8: {exc}") from exc
+        out += [name] * size
 
 
 def _check_increasing(rows, last):
     """Raise CorruptFile unless the keys of a chunk's int64 rows strictly
-    increase, from ``last``, the final key of the previous chunk (None at
-    the start of a block)."""
-    before = rows[:-1] if last is None else np.vstack((last, rows[:-1]))
-    after = rows[1:] if last is None else rows
-    differ = after != before
-    first = differ.argmax(axis=1)  # the first coordinate that differs
-    i = np.arange(len(first))
-    if not (differ[i, first] & (after[i, first] > before[i, first])).all():
+    increase, from ``last``, the final key of the previous chunk as a tuple
+    of ints (None at the start of a block); returns the chunk's final key
+    so. Within the chunk, their sort keys (``_sort_key``) must increase."""
+    key = _sort_key(rows)
+    if (key[1:] <= key[:-1]).any() or (last is not None and tuple(rows[0].tolist()) <= last):
         raise CorruptFile("block keys are not strictly increasing")
+    return tuple(rows[-1].tolist())
 
 
 def save(path, header, dct):

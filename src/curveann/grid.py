@@ -84,9 +84,12 @@ class GridSpec:
 
     @classmethod
     def from_edge(cls, edge, epsilon, r, d, p, m_norm):
-        """The spec ``create`` makes with the given edge, recovering N for finite p."""
+        """The spec ``create`` makes with the given edge, recovering N for
+        finite p; ValueError if no spec of these parameters has that edge."""
         spec = cls(edge=edge, epsilon=epsilon, r=r, d=d, m_norm=m_norm, p=geometry.check_p(p))
         if spec.p == geometry.DFD:
+            if not math.isclose(cls.create(epsilon, r, d).edge, edge, rel_tol=1e-9):
+                raise ValueError(f"edge {edge!r} is not the min-max edge")
             return spec
         try:
             pairs = round((epsilon * r / (edge * math.sqrt(d))) ** spec.p)

@@ -443,7 +443,8 @@ class CurveIndex:
                 if peek != dictmod.MAGIC:
                     raise FormatError(f"bad magic {peek!r}")
                 f.seek(-4, 1)
-                blocks.append(dictmod.read_block(f, backend))
+                ids = set()  # the block's distinct curve ids
+                blocks.append((*dictmod.read_block(f, backend, ids), ids))
             (n,) = struct.unpack("<Q", dictmod._read_exact(f, 8))
             order = []
             registry = {}
@@ -466,9 +467,19 @@ class CurveIndex:
         if not blocks:
             raise FormatError("no dictionary blocks in file")
         h0 = blocks[0][0]
-        for h, _ in blocks[1:]:
+        for h, _, _ in blocks[1:]:
             if (h.mode, h.p, h.epsilon, h.r, h.d) != (h0.mode, h0.p, h0.epsilon, h0.r, h0.d):
                 raise FormatError("inconsistent block headers")
+        if len({h.out_len for h, _, _ in blocks}) < len(blocks):
+            raise CorruptFile("two blocks for one query length")
+        if h0.mode == dictmod.MODE_ASYM and len(blocks) > 1:
+            raise CorruptFile(f"an asymmetric index has one block, not {len(blocks)}")
+        if any(curve.dim != h0.d for curve in registry.values()):
+            raise CorruptFile(f"a registry curve is not {h0.d}-dim, as the blocks are")
+        for h, _, ids in blocks:
+            if not ids <= registry.keys():
+                raise CorruptFile(f"block for length {h.out_len} holds ids not in the "
+                                  f"registry, such as {min(ids - registry.keys())!r}")
         if expect is not None:
             for name, attr in (("epsilon", "epsilon"), ("r", "r")):
                 if name in expect and not math.isclose(expect[name], getattr(h0, attr)):
@@ -486,7 +497,7 @@ class CurveIndex:
         )
         grids = {}
         dicts = {}
-        for h, dct in blocks:
+        for h, dct, _ in blocks:
             try:
                 grids[h.out_len] = gridmod.GridSpec.from_edge(
                     h.edge, h.epsilon, h.r, h.d, h.p,

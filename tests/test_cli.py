@@ -195,7 +195,8 @@ def test_format_exit_code(tmp_path, capsys):
 def test_files_that_cannot_be_read_or_written_are_usage_errors(tmp_path, capsys, case):
     """A missing index or curve file, or an output path in a missing
     directory, ends with one error line on stderr and exit code 2, not a
-    traceback."""
+    traceback. An output that cannot be written fails before the build
+    prints anything."""
     inp = curve_file(tmp_path, [{"id": "a", "points": [[0.0], [1.0]]}])
     missing = str(tmp_path / "missing" / "file")
     argv = {
@@ -204,10 +205,28 @@ def test_files_that_cannot_be_read_or_written_are_usage_errors(tmp_path, capsys,
                           "--out", str(tmp_path / "o")],
         "unwritable out": ["build", "--input", inp, "--radius", "1", "--out", missing],
     }[case]
-    code, _, stderr = run(argv, capsys)
+    code, stdout, stderr = run(argv, capsys)
     assert code == cli.EXIT_PARSE
     assert len(stderr.splitlines()) == 1
     assert stderr.startswith("error: ") and missing in stderr
+    assert stdout == ""
+
+
+def test_a_failed_build_leaves_the_old_index(tmp_path, capsys):
+    """A build writes its index beside ``--out`` and renames it onto
+    ``--out``: the index gets the permissions of a file ``open`` makes,
+    and a build that fails leaves the old index and no other file."""
+    inp = curve_file(tmp_path, [{"id": "a", "points": [[0.0], [1.0]]}])
+    out = tmp_path / "idx.annc"
+    assert run(["build", "--input", inp, "--radius", "1", "--out", str(out)], capsys)[0] == 0
+    (tmp_path / "plain").touch()
+    assert out.stat().st_mode == (tmp_path / "plain").stat().st_mode
+    before = out.read_bytes()
+    code, _, stderr = run(["build", "--input", inp, "--radius", "1", "--epsilon", "0.1",
+                           "--max-candidates", "1", "--out", str(out)], capsys)
+    assert code == cli.EXIT_CAPACITY and stderr.startswith("error: ")
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curves.jsonl", "idx.annc", "plain"]
 
 
 def test_bench_runs_clean(tmp_path, capsys):

@@ -281,6 +281,129 @@ def test_blocks_round_trip_a_chunk_at_a_time(backend, chunk, monkeypatch):
         assert again.getvalue() == buf.getvalue()
 
 
+def named_block(ids):
+    """An nn block with key ((i,), (0,)) and id ``ids[i]`` for each i, as
+    bytes: the keys are in order, so the ids are too."""
+    return block_bytes("nn", [pack(((i,), (0,))) for i in range(len(ids))], ids)
+
+
+def count_views(monkeypatch):
+    """The bytes each ``np.frombuffer`` call views, from now on."""
+    views, frombuffer = [], np.frombuffer
+
+    def counted(buffer, dtype=float, count=-1, offset=0):
+        out = frombuffer(buffer, dtype, count, offset)
+        views.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(np, "frombuffer", counted)
+    return views
+
+
+class CountingReader(io.BytesIO):
+    """A stream that counts the bytes its reads return."""
+
+    bytes_read = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.bytes_read += len(data)
+        return data
+
+
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_alternating_id_lengths_read_and_view_linear_bytes(backend, monkeypatch):
+    """One chunk of one id length, then 4 chunks whose id lengths alternate
+    entry by entry. The block round-trips; the reader reads under twice
+    the block plus one buffer from a stream that goes on past it, and
+    gives back what it read ahead; and its probes view under ``_PROBE + 2``
+    times the block's bytes, since a probe starts over once its run ends."""
+    monkeypatch.setattr(dictionary, "_CHUNK", 1000)
+    ids = ["uniform"] * 1000 + ["x", "y" * 40] * 2000
+    data = named_block(ids)
+    f = CountingReader(data + bytes(len(data)))
+    views = count_views(monkeypatch)
+    _, loaded = dictionary.read_block(f, backend)
+    assert [cid for _, cid in loaded.items()] == ids
+    assert f.tell() == len(data)
+    assert f.bytes_read < 2 * len(data) + io.DEFAULT_BUFFER_SIZE, (f.bytes_read, len(data))
+    assert sum(views) < (dictionary._PROBE + 2) * len(data), (sum(views), len(data))
+    again = io.BytesIO()
+    dictionary.write_block(again, header(), loaded)
+    assert again.getvalue() == data
+
+
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_a_block_of_one_id_length_takes_one_view_per_chunk(backend, monkeypatch):
+    """The probe keeps its size from one chunk to the next: after the
+    doublings of the first chunk, each chunk of a block whose ids all have
+    one length is one view."""
+    monkeypatch.setattr(dictionary, "_CHUNK", 1024)
+    ids = [f"c{i // 300 % 10}" for i in range(4 * 1024)]
+    data = named_block(ids)
+    views = count_views(monkeypatch)
+    _, loaded = dictionary.read_block(io.BytesIO(data), backend)
+    assert [cid for _, cid in loaded.items()] == ids
+    doublings = (dictionary._CHUNK // dictionary._PROBE).bit_length() - 1
+    assert len(views) <= 4 + doublings, views
+
+
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_ids_that_differ_in_their_last_byte_split_into_stretches(backend, monkeypatch):
+    """Stretches of equal ids of one length, from 1 to 70 entries long,
+    whose ids differ only in their last byte, across chunks of 50: each
+    entry gets its own id, and all entries of an id share one str."""
+    monkeypatch.setattr(dictionary, "_CHUNK", 50)
+    rng = np.random.default_rng(50)
+    ids = []
+    for size in [1, 1, 3, 70, 1, 2] + rng.integers(1, 20, size=30).tolist():
+        ids += [f"curve-{len(ids) % 3}"] * size
+    data = named_block(ids)
+    _, loaded = dictionary.read_block(io.BytesIO(data), backend)
+    got = [cid for _, cid in loaded.items()]
+    assert got == ids
+    assert len({id(cid) for cid in got}) == len(set(ids)) == 3
+
+
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_a_non_utf8_id_inside_a_long_run_is_corrupt(backend):
+    """An id that is not UTF-8 in the middle of 3 chunks of one id
+    length: the reader sees it, though it decodes only the first id of
+    each stretch."""
+    ids = ["abc"] * (3 * dictionary._CHUNK)
+    data = bytearray(named_block(ids))
+    at = data.index(pack(((len(ids) // 2,), (0,))) + struct.pack("<I", 3) + b"abc")
+    data[at + 16 + 4 : at + 16 + 7] = b"\xff\xfe\xfd"
+    with pytest.raises(CorruptFile, match="UTF-8"):
+        dictionary.read_block(io.BytesIO(bytes(data)), backend)
+
+
+@pytest.mark.parametrize("chunk", [dictionary._CHUNK, 2])
+@pytest.mark.parametrize("fault", ["swapped", "repeated"])
+@pytest.mark.parametrize("mode", ["nn", "count"])
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_extreme_keys_out_of_order_are_rejected(backend, mode, fault, chunk, monkeypatch):
+    """Keys at the ends of the int64 range, whose columns each span more
+    than one sort key holds, so the reader's sort key ranks them: out of
+    order or repeated, within a chunk or across two, they are rejected."""
+    monkeypatch.setattr(dictionary, "_CHUNK", chunk)
+    low, high = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+    keys = [pack(((low,), (5,))), pack(((low,), (high,))), pack(((high,), (low,)))]
+    payloads = [1, 2, 3] if mode == "count" else ["A", "B", "C"]
+    data = block_bytes(mode, keys, payloads)
+    start = dictionary._HEADER.size + 8
+    stride = (len(data) - start) // 3
+    entries = [data[start + i * stride : start + (i + 1) * stride] for i in range(3)]
+    _, dct = dictionary.read_block(io.BytesIO(data), backend)
+    assert [key for key, _ in dct.items()] == keys
+    faulty = {
+        "swapped": [entries[0], entries[2], entries[1]],
+        "repeated": [entries[0], entries[1], entries[1]],
+    }[fault]
+    with pytest.raises(CorruptFile, match="strictly increasing"):
+        dictionary.read_block(io.BytesIO(data[:start] + b"".join(faulty)), backend)
+
+
 @pytest.mark.parametrize("mode", ["nn", "count"])
 def test_items_follow_the_integer_order_of_the_coordinates(mode):
     """A key's bytes order differently from its coordinates: -1 packs to

@@ -34,6 +34,17 @@ def test_edge_derivation_finite_p():
         grid.GridSpec.from_edge(0.45, 1.0, 1.0, 1, 2.0, m_norm=1)
 
 
+def test_a_min_max_edge_is_checked_too():
+    """The min-max edge has no free parameter: from_edge accepts only the
+    edge ``create`` derives, up to the relative tolerance of finite p."""
+    g = grid.GridSpec.create(epsilon=0.5, r=2.0, d=3)
+    assert grid.GridSpec.from_edge(g.edge * (1 + 1e-12), 0.5, 2.0, 3, math.inf, m_norm=2).edge \
+        == g.edge * (1 + 1e-12)
+    for edge in (g.edge * 10, g.edge / 2, g.edge * (1 + 1e-6)):
+        with pytest.raises(ValueError, match="min-max"):
+            grid.GridSpec.from_edge(edge, 0.5, 2.0, 3, math.inf, m_norm=2)
+
+
 def test_snap_examples():
     assert grid.snap_point([0.4], make_grid(1.0)) == (0,)
     # half-way coordinates round toward +inf

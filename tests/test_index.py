@@ -1,8 +1,10 @@
 import gc
 import hashlib
 import importlib.util
+import io
 import itertools
 import math
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -720,6 +722,61 @@ def test_corrupt_files_raise_format_errors(tmp_path, mode, backend):
     at = data.rindex(b"c1")  # in the registry, which comes last
     path.write_bytes(data[:at] + b"c0" + data[at + 2 :])
     with pytest.raises(CorruptFile, match="twice"):
+        CurveIndex.load(path, backend=backend)
+
+
+def _saved_parts(tmp_path, curves, **params):
+    """The blocks and the registry of a saved index of ``curves``, as bytes."""
+    path = tmp_path / "parts.annc"
+    CurveIndex(**params).fit([Curve(cid, pts) for cid, pts in curves]).save(path)
+    f = io.BytesIO(path.read_bytes())
+    blocks, start = [], 0
+    while f.read(4) == dictionary.MAGIC:
+        f.seek(-4, io.SEEK_CUR)
+        dictionary.read_block(f)
+        blocks.append(f.getvalue()[start : f.tell()])
+        start = f.tell()
+    return blocks, f.getvalue()[start:]
+
+
+LINE = [[0.0, 0.0], [1.0, 0.0]]
+DFD_1 = dict(epsilon=1.0, r=1.0, metric="dfd")
+
+
+@pytest.mark.parametrize("case", ["min-max edge", "id not in the registry", "two blocks of one length",
+                                  "two asymmetric blocks", "registry of another d"])
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_load_rejects_files_whose_parts_disagree(tmp_path, backend, case):
+    """Each of these files is well-formed bytes that would load an index
+    breaking its guarantee or its own registry: a min-max edge ten times
+    the grid's (a query at distance 6 then matched, against a guarantee of
+    2), a block whose id the registry does not hold, two blocks for one
+    length, an asymmetric file of two lengths, and registry curves of
+    another dimension than the blocks'."""
+    (block,), registry = _saved_parts(tmp_path, [("a", LINE)], **DFD_1)
+    path = tmp_path / "idx.annc"
+    path.write_bytes(block + registry)
+    assert CurveIndex.load(path, backend=backend).query(Curve("q", LINE)).match == "a"
+    if case == "min-max edge":
+        at = dictionary._HEADER.size - 8  # the f64 edge
+        (edge,) = struct.unpack_from("<d", block, at)
+        data = block[:at] + struct.pack("<d", 10 * edge) + block[at + 8 :] + registry
+    elif case == "id not in the registry":
+        (other,), _ = _saved_parts(tmp_path, [("zz", LINE)], **DFD_1)
+        data = other + registry
+    elif case == "two blocks of one length":
+        data = block + block + registry
+    elif case == "two asymmetric blocks":
+        three = [("a", [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])]
+        blocks = [_saved_parts(tmp_path, three, mode="asym", k=k, **DFD_1)[0][0] for k in (2, 3)]
+        data = b"".join(blocks) + _saved_parts(tmp_path, three, mode="asym", k=2, **DFD_1)[1]
+    else:
+        data = block + _saved_parts(tmp_path, [("a", [[0.0], [1.0]])], **DFD_1)[1]
+    path.write_bytes(data)
+    match = {"min-max edge": "min-max edge", "id not in the registry": "not in the registry",
+             "two blocks of one length": "two blocks", "two asymmetric blocks": "asymmetric",
+             "registry of another d": "2-dim"}[case]
+    with pytest.raises(CorruptFile, match=match):
         CurveIndex.load(path, backend=backend)
 
 
