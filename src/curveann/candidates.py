@@ -22,18 +22,25 @@ alignment DP admits it, which is the same decision as
 ``geometry.distance(anchor, candidate) <= radius`` on identical floats. For
 finite p the p-th root of an accepted total is taken on Python floats.
 
-Candidates are returned as a list of keys in the form of ``grid``: the
-bytes of their int64 lattice coordinates. The min-max enumerator joins the
-vertex bytes of the class members it combines; the finite-p enumerator
-packs its accepted pool-index rows with numpy.
+Candidates are returned as a ``CandidateSet``: the pool's int64 lattice
+points and, per key, a row of L pool indices, held in parts. A finite-p
+part is the accepted pairs of one last-level step, so it holds at most
+``_STEP_PAIRS`` rows. A min-max part is the Cartesian product of one
+sequence of mask classes, written by broadcasting into one index array of
+the exact key count. No key is made as bytes (the form of ``grid``) until a
+consumer asks for it: the hash dictionary makes them a chunk at a time as
+it folds, and the prefix tree reads its runs of shared heads straight from
+the index rows.
 
 ``CapacityExceeded`` is raised exactly when the key set exceeds
-``max_candidates``. For min-max it is decided from the exact key count,
-before any key is built; for finite p it is checked after each batch of
-keys, holding at most one step's batch beyond the limit.
+``max_candidates``, and says how many keys the anchor needs. For min-max it
+is decided from the exact key count, before any key is built; for finite p
+it is checked after each step, holding at most one step's rows beyond the
+limit, and the count it reports is a lower bound.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +50,10 @@ from .errors import CapacityExceeded, ModeMismatch
 from .geometry import DFD
 
 DEFAULT_MAX_CANDIDATES = 10**8
+
+# index rows a consumer of a candidate set takes at once: runs of small
+# parts are joined up to this many rows before their keys are made
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,71 @@ class CandidateRequest:
             raise ValueError("out_len must be >= 1")
         if self.enum_radius <= 0:
             raise ValueError("enum_radius must be positive")
+
+
+class CandidateSet:
+    """The keys of one candidate request, as rows of pool indices.
+
+    ``pool`` is an (n, d) int64 array of distinct lattice points, and each
+    of ``parts`` a (k, L) integer array with one row per key: the pool
+    index of each of the key's L vertices. The key itself is the bytes of
+    ``pool[row]`` (``grid`` module docstring), made only when asked for.
+    ``len`` is the number of keys, and iterating yields their bytes in
+    order. Two rows are the same key exactly when they are equal, as the
+    pool points are distinct.
+    """
+
+    __slots__ = ("pool", "parts", "out_len", "_size")
+
+    def __init__(self, pool, parts, out_len):
+        self.pool = pool
+        self.parts = parts
+        self.out_len = out_len
+        self._size = sum(map(len, parts))
+
+    @classmethod
+    def of(cls, keys, out_len, d):
+        """The set of a sequence of keys of ``out_len`` vertices of ``d``
+        coordinates, in their order; ValueError for a key of another
+        length."""
+        size = 8 * out_len * d
+        for key in keys:
+            if not isinstance(key, bytes) or len(key) != size:
+                raise ValueError(f"a key of this shape is a bytes string of length {size}")
+        if not keys:
+            return cls(np.empty((0, d), np.int64), [], out_len)
+        vertices = gridmod.rows_of(keys, out_len * d, len(keys)).reshape(-1, d)
+        pool, index = np.unique(vertices, axis=0, return_inverse=True)
+        return cls(pool, [index.reshape(len(keys), out_len)], out_len)
+
+    def __len__(self):
+        return self._size
+
+    def chunks(self):
+        """The index rows in order, as arrays: a part of ``_CHUNK`` rows or
+        more as it is, and runs of smaller parts joined up to that many."""
+        run, size = [], 0
+        for part in self.parts:
+            run.append(part)
+            size += len(part)
+            if size >= _CHUNK:
+                yield run[0] if len(run) == 1 else np.concatenate(run)
+                run, size = [], 0
+        if size:
+            yield np.concatenate(run)
+
+    def __iter__(self):
+        """The keys' bytes, in order, made a chunk at a time."""
+        return itertools.chain.from_iterable(gridmod.keys_of(self.pool[rows])
+                                             for rows in self.chunks())
+
+    def where(self, keep):
+        """The set of the keys for which ``keep(key)`` is true, in order."""
+        parts = []
+        for rows in self.chunks():
+            keys = gridmod.keys_of(self.pool[rows])
+            parts.append(rows[np.fromiter(map(keep, keys), bool, len(rows))])
+        return CandidateSet(self.pool, parts, self.out_len)
 
 
 def vertex_pool(anchor, radius, grid):
@@ -87,15 +163,19 @@ def _pool_and_dists(req):
     least one anchor vertex, and no matched pair can exceed the total cost).
     """
     pool = np.asarray(vertex_pool(req.anchor, req.enum_radius, req.grid), dtype=np.int64)
+    pool = pool.reshape(len(pool), req.grid.d)
     if not len(pool):
         return pool, None
     return pool, geometry.pairwise_dists(pool * req.grid.edge, req.anchor.points)
 
 
-def _guard(req, count):
+def _guard(req, count, exact=True):
+    """Raise CapacityExceeded if ``count`` keys, the exact number or, when
+    not ``exact``, a lower bound, exceed the request's limit."""
     if count > req.max_candidates:
         raise CapacityExceeded(
-            f"candidate set for anchor {req.anchor.id!r} exceeds "
+            f"candidate set for anchor {req.anchor.id!r} needs "
+            f"{'' if exact else 'at least '}{count} keys, more than "
             f"max_candidates={req.max_candidates}"
         )
 
@@ -126,17 +206,20 @@ def enumerate_dfd(req):
     so each accepted sequence of mask classes contributes the Cartesian
     product of its classes' members. The guard is decided on the exact key
     count, these products' sizes summed by a DP, before any key is built.
+    The products are then broadcast, one part each, into one index array of
+    that count.
     """
     if req.grid.p != DFD:
         raise ModeMismatch("enumerate_dfd requires the min-max metric")
     pool, adist = _pool_and_dists(req)
     if not len(pool):
-        return []
+        return CandidateSet(pool, [], req.out_len)
     # masks are Python ints, one bit per anchor vertex however many there are
     bits = np.packbits(adist <= req.enum_radius, axis=1, bitorder="little")
-    members = {}  # a class's members are the bytes of their vertices
-    for vertex, row in zip(gridmod.keys_of(pool), bits):
-        members.setdefault(int.from_bytes(row.tobytes(), "little"), []).append(vertex)
+    members = {}  # a class's members, as pool indices
+    for i, row in enumerate(bits):
+        members.setdefault(int.from_bytes(row.tobytes(), "little"), []).append(i)
+    members = {mask: np.array(vs, np.intp) for mask, vs in members.items()}
     goal = 1 << (len(req.anchor) - 1)
     last = req.out_len - 1
 
@@ -155,16 +238,20 @@ def enumerate_dfd(req):
         ways = nxt
     # the vertices that end a prefix, by its reachable set; a reachable set
     # lies within the last mask, so only masks with the goal bit are tried
-    ends = {S: [v for mask, vs in members.items()
-                if mask & goal and _step_mask(S, mask, last == 0) & goal for v in vs]
+    ends = {S: np.concatenate([vs for mask, vs in members.items()
+                               if mask & goal and _step_mask(S, mask, last == 0) & goal]
+                              or [np.arange(0)])
             for S in ways}
-    _guard(req, sum(n * len(ends[S]) for S, n in ways.items()))
+    count = sum(n * len(ends[S]) for S, n in ways.items())
+    _guard(req, count)
+    rows = np.empty((count, req.out_len), np.intp)
     if not last:
-        return ends[0]
+        rows[:, 0] = ends[0]
+        return CandidateSet(pool, [rows] if count else [], req.out_len)
 
-    out = []
+    parts, pos = [], 0
     chosen = [None] * req.out_len
-    # (level, edges left); a recursive closure would keep ``out`` in a cycle
+    # (level, edges left); a recursive closure would keep ``parts`` in a cycle
     stack = [(0, iter(steps[0][0]))]
     while stack:
         j, left = stack[-1]
@@ -174,9 +261,23 @@ def enumerate_dfd(req):
                 stack.append((j + 1, iter(steps[j + 1][S2])))
                 break
             chosen[last] = ends[S2]
-            out.extend(map(b"".join, itertools.product(*chosen)))
+            n = math.prod(map(len, chosen))
+            if n:
+                parts.append(_product(chosen, rows[pos : pos + n]))
+                pos += n
         else:
             stack.pop()
+    return CandidateSet(pool, parts, req.out_len)
+
+
+def _product(classes, out):
+    """Write into ``out`` and return it: the Cartesian product of
+    ``classes``, arrays of pool indices, one row per tuple in the order of
+    ``itertools.product``, by broadcasting each class along its axis."""
+    shape = [len(c) for c in classes]
+    grid = out.reshape(*shape, len(classes))
+    for j, c in enumerate(classes):
+        grid[..., j] = c.reshape([-1 if i == j else 1 for i in range(len(classes))])
     return out
 
 
@@ -209,20 +310,22 @@ def enumerate_lp(req):
     completed row is accepted when its total is at most the radius (p = 1),
     or, for other p, when its total passes the slack budget and its p-th
     root, taken on Python floats, is at most the radius: the same decision
-    as ``geometry.distance(anchor, candidate, p) <= radius``.
+    as ``geometry.distance(anchor, candidate, p) <= radius``. The accepted
+    pairs of one last-level step are joined into index rows, one part of
+    the returned set; the pairs that fail are never joined.
     """
     if req.grid.p == DFD:
         raise ModeMismatch("enumerate_lp requires a finite metric exponent")
     pool, adist = _pool_and_dists(req)
     if not len(pool):
-        return []
+        return CandidateSet(pool, [], req.out_len)
     return _LpSteps(req, pool, adist).run()
 
 
 class _LpSteps:
     """One finite-p enumeration. Its steps are methods, not nested closures
     that call each other: such closures form a reference cycle that would
-    keep the returned keys alive until the cyclic garbage collector runs."""
+    keep the returned set alive until the cyclic garbage collector runs."""
 
     def __init__(self, req, pool, adist):
         self.req = req
@@ -243,7 +346,8 @@ class _LpSteps:
         self.last_order = np.argsort(self.cost[-1], kind="stable")
         self.last_cost = self.cost[-1][self.last_order]
         self.pool = pool[order]
-        self.out = []
+        self.parts = []
+        self.count = 0
 
     def run(self):
         # first vertex: its row is the running sum of its costs, so its row
@@ -253,8 +357,8 @@ class _LpSteps:
         n_first = int(np.searchsorted(self.cost[0][order], self.budget_slack, side="right"))
         for lo in range(0, n_first, _STEP_PAIRS):
             vtx = order[lo : lo + _STEP_PAIRS]
-            self.settle(first[:, vtx], vtx[None, :])
-        return self.out
+            self.settle(first[:, vtx], np.empty((0, 1), np.intp), np.zeros(len(vtx), np.intp), vtx)
+        return CandidateSet(self.pool, self.parts, self.req.out_len)
 
     def extend(self, rows, row_min, prefix):
         """Append one vertex to each prefix of a chunk, in bounded steps."""
@@ -283,12 +387,15 @@ class _LpSteps:
             for i in range(1, m):
                 np.minimum(best[i - 1], new[i - 1], out=best[i - 1])
                 new[i] += best[i - 1]
-            self.settle(new, np.vstack([prefix[:, src], vtx]))
+            self.settle(new, prefix, src, vtx)
 
-    def settle(self, new, prefix):
-        """Accept completed rows, or pass the live ones to the next step."""
+    def settle(self, new, prefix, src, vtx):
+        """Accept completed rows, or pass the live ones to the next step.
+        Column c of ``new`` is the row of prefix ``prefix[:, src[c]]``, a
+        column of pool indices, extended by pool vertex ``vtx[c]``; only
+        the pairs that are kept are joined into index rows."""
         req = self.req
-        if prefix.shape[0] == req.out_len:
+        if prefix.shape[0] + 1 == req.out_len:
             total = new[-1]
             if self.p == 1:
                 hit = np.flatnonzero(total <= req.enum_radius)
@@ -297,10 +404,16 @@ class _LpSteps:
                 root = 1.0 / self.p
                 hit = hit[np.array([t ** root <= req.enum_radius for t in total[hit].tolist()],
                                    dtype=bool)]
-            self.out.extend(gridmod.keys_of(self.pool[prefix[:, hit].T]))
-            _guard(req, len(self.out))
+            if len(hit):
+                part = np.empty((len(hit), req.out_len), np.intp)
+                part[:, :-1] = prefix[:, src[hit]].T
+                part[:, -1] = vtx[hit]
+                self.parts.append(part)
+                self.count += len(hit)
+                _guard(req, self.count, exact=False)
             return
         row_min = new.min(axis=0)
         live = np.flatnonzero(row_min <= self.budget_slack)
         if len(live):
-            self.extend(new[:, live], row_min[live], prefix[:, live])
+            self.extend(new[:, live], row_min[live],
+                        np.vstack([prefix[:, src[live]], vtx[live]]))

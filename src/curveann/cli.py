@@ -92,6 +92,14 @@ def _file_beside(path):
     return name
 
 
+# the build's stage timers, and what each covers
+_STAGES = (
+    ("build", "simplify, enumerate and fold"),
+    ("enumerate", "candidate sets, as rows of pool indices"),
+    ("fold", "dictionary updates; the hash backend makes the key bytes here"),
+)
+
+
 def cmd_build(args):
     curves = read_curve_file(args.input)
     idx = _index_from_args(args)
@@ -116,8 +124,8 @@ def cmd_build(args):
             os.unlink(tmp)
     print(f"index\t{args.out}")
     # wall time is run-dependent; keep stdout byte-reproducible
-    for stage in ("build", "enumerate", "fold"):
-        print(f"{stage} seconds: {idx.stats_[stage + '_seconds']:.3f}", file=sys.stderr)
+    for stage, what in _STAGES:
+        print(f"{stage} seconds: {idx.stats_[stage + '_seconds']:.3f} ({what})", file=sys.stderr)
     return 0
 
 

@@ -12,6 +12,15 @@ payload; both are plain dicts. ``items`` and blocks list the entries in
 lexicographic order of the keys' coordinates as integers, which is not the
 order of their bytes.
 
+Each batch call (``insert_all_first_wins``, ``increment_all``,
+``decrement_all``, ``release``) takes a ``candidates.CandidateSet``: the
+keys of one candidate request as rows of pool indices, in parts. A
+sequence of keys is made into one set first. The hash map folds the set's
+key bytes, made a chunk of rows at a time. The tree folds the rows by
+head: a run of rows whose first L - 1 indices are equal shares one head,
+made as bytes once, and each pool vertex is made as bytes once per set, so
+no key is made per entry.
+
 Index file layout, format version 1, little-endian with no padding: a block
 per supported query length L, then the curve registry. A block is the
 ``_HEADER`` fields (magic ``ANNC``, u16 version, u8 mode: 0 nn, 1 count,
@@ -36,11 +45,12 @@ one stride, and decodes the first id of a stretch of equal ids only.
 import io
 import struct
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
 from . import grid as gridmod
+from .candidates import CandidateSet
 from .errors import CorruptFile, FormatError, ModeMismatch
 
 MAGIC = b"ANNC"
@@ -61,11 +71,6 @@ _PROBE = 1 << 6  # entries of an nn/asym block a run's first probe views
 _LONGEST_KEY = (1 << 31) - 1
 # the most distinct values one int64 sort key of ``_sort_key`` takes
 _SORT_SPAN = 1 << 62
-
-
-def _check_key(key, size):
-    if not isinstance(key, bytes) or len(key) != size:
-        raise ValueError(f"a key of this dictionary is a bytes string of length {size}")
 
 
 def _ranked(values):
@@ -124,11 +129,15 @@ class _DictBase:
         self.mode = mode
         self.out_len = out_len
         self.d = d
-        self.key_size = 8 * out_len * d
 
     @property
     def counting(self):
         return self.mode == MODE_COUNT
+
+    def _require(self, counting, what):
+        if self.counting != counting:
+            mode = "counting" if counting else "near-neighbor"
+            raise ModeMismatch(f"{what} requires {mode} mode")
 
     def insert_first_wins(self, key, curve_id):
         """Insert only if absent; existing payloads are never overwritten."""
@@ -144,6 +153,9 @@ class _DictBase:
     def decrement(self, key):
         """Counting mode: count -> count - 1, removing the key at 0; returns
         the new count. KeyError, changing nothing, when the key is absent."""
+        self._require(True, "decrement")
+        if self._get(key) is None:
+            raise KeyError(key)
         self.decrement_all((key,))
         return self._get(key) or 0
 
@@ -153,48 +165,50 @@ class _DictBase:
         payload = self._get(key)
         if payload is None:
             raise KeyError(key)
-        self._release((key,), payload)
+        self._release(self._batch((key,)), payload)
 
     def lookup(self, key):
         return self._get(key)
 
     # batches, the only calls the dynamic index makes to change a
-    # dictionary. A batch is the key set of one candidate request, whose
-    # keys share one shape: its first key is checked for all of them.
+    # dictionary. A batch is a ``candidates.CandidateSet``, the key set of
+    # one candidate request as rows of pool indices; a sequence of keys is
+    # made into one first (``_batch``). Each batch call does what one
+    # single-key call per key, in the set's order, does.
+
+    def _batch(self, keys):
+        """``keys`` as a candidate set of this dictionary's key shape: a set
+        as it is, a sequence of keys by ``CandidateSet.of``. ValueError if
+        its keys have another shape."""
+        if not isinstance(keys, CandidateSet):
+            return CandidateSet.of(keys, self.out_len, self.d)
+        if (keys.out_len, keys.pool.shape[1]) != (self.out_len, self.d):
+            raise ValueError(f"a key of this dictionary has {self.out_len} vertices "
+                             f"of {self.d} coordinates")
+        return keys
 
     def insert_all_first_wins(self, keys, curve_id):
         """``insert_first_wins`` for each key of a batch."""
-        if self.counting:
-            raise ModeMismatch("insert_first_wins requires near-neighbor mode")
-        if keys:
-            _check_key(keys[0], self.key_size)
-            self._insert_all(keys, curve_id)
+        self._require(False, "insert_first_wins")
+        self._insert_all(self._batch(keys), curve_id)
 
     def increment_all(self, keys):
         """``increment`` each key of a batch."""
-        if not self.counting:
-            raise ModeMismatch("increment requires counting mode")
-        if keys:
-            _check_key(keys[0], self.key_size)
-            self._increment_all(keys)
+        self._require(True, "increment")
+        self._increment_all(self._batch(keys))
 
     def decrement_all(self, keys):
         """``decrement`` each key of a batch; KeyError at the first absent
         key, after the keys before it are decremented."""
-        if not self.counting:
-            raise ModeMismatch("decrement requires counting mode")
-        self._decrement_all(keys)
+        self._require(True, "decrement")
+        self._decrement_all(self._batch(keys))
 
     def release(self, keys, curve_id):
         """Remove the keys of a batch whose payload is ``curve_id``, in one
-        pass over the batch; returns them as a set. Keys that are absent or
-        held by another curve are left as they are."""
-        if self.counting:
-            raise ModeMismatch("release requires near-neighbor mode")
-        if not keys:
-            return set()
-        _check_key(keys[0], self.key_size)
-        return self._release(keys, curve_id)
+        pass over the batch; returns them as a set of key bytes. Keys that
+        are absent or held by another curve are left as they are."""
+        self._require(False, "release")
+        return self._release(self._batch(keys), curve_id)
 
     def _ordered(self):
         """The entries as int64 key rows and payloads, both in the order the
@@ -205,12 +219,11 @@ class _DictBase:
         rows, payloads = self._entries()
         return rows, payloads, _order(rows)
 
-    def _rows(self, keys, count=None):
-        return gridmod.rows_of(keys, self.out_len * self.d, count)
-
 
 class HashedDictionary(_DictBase):
-    """Hash-map backend: the keys as they are, in one dict."""
+    """Hash-map backend: the keys as they are, in one dict. A batch makes
+    its keys' bytes a chunk at a time as it folds them
+    (``CandidateSet.__iter__``)."""
 
     def __init__(self, mode=MODE_NN, *, out_len, d):
         super().__init__(mode, out_len=out_len, d=d)
@@ -219,34 +232,34 @@ class HashedDictionary(_DictBase):
     def _get(self, key):
         return self._map.get(key)
 
-    def _insert_all(self, keys, payload):
+    def _insert_all(self, cands, payload):
         put = self._map.setdefault
-        for key in keys:
+        for key in cands:
             put(key, payload)
 
-    def _increment_all(self, keys):
+    def _increment_all(self, cands):
         stored = self._map
         get = stored.get
-        for key in keys:
+        for key in cands:
             stored[key] = get(key, 0) + 1
 
-    def _decrement_all(self, keys):
+    def _decrement_all(self, cands):
         stored = self._map
-        for key in keys:
+        for key in cands:
             count = stored[key]
             if count > 1:
                 stored[key] = count - 1
             else:
                 del stored[key]
 
-    def _release(self, keys, curve_id):
+    def _release(self, cands, curve_id):
         # each key is looked up and deleted in one step, while its slot is
         # still in cache
         stored = self._map
         get = stored.get
         released = set()
         add = released.add
-        for key in keys:
+        for key in cands:
             if get(key) == curve_id:
                 del stored[key]
                 add(key)
@@ -258,7 +271,8 @@ class HashedDictionary(_DictBase):
 
     def _entries(self):
         """The int64 key rows and the payloads, in one order."""
-        return self._rows(self._map.keys(), len(self._map)), list(self._map.values())
+        rows = gridmod.rows_of(self._map.keys(), self.out_len * self.d, len(self._map))
+        return rows, list(self._map.values())
 
     def items(self):
         """Entries in lexicographic order of the keys' integer coordinates."""
@@ -282,16 +296,20 @@ class PrefixTreeDictionary(_DictBase):
     the payload. A lookup is two probes. Every leaf holds at least one
     entry: a leaf that empties is deleted from the root. Each last vertex is
     one object per dictionary, which all leaves share, so an entry costs no
-    object beyond its slot in a leaf. A block is written from int64 rows
-    read off the heads and the leaves' vertices, with no key made per
-    entry.
+    object beyond its slot in a leaf. A batch is folded from its rows of
+    pool indices: the keys of a run of rows with one head share a leaf,
+    which the run looks up once, and no key is made per entry. A block is
+    written from int64 rows read off the heads and the leaves' vertices,
+    again with no key made per entry.
     """
 
     def __init__(self, mode=MODE_NN, *, out_len, d):
         super().__init__(mode, out_len=out_len, d=d)
         self._root = {}
         self._size = 0
-        self._vertices = {}  # each last vertex stored, as its one shared object
+        # each vertex of a batch's pool that was folded in, as its one
+        # shared object: the last vertices of the leaves are among them
+        self._vertices = {}
         self._cut = 8 * d * (out_len - 1)  # the length of a head
 
     def _get(self, key):
@@ -299,11 +317,98 @@ class PrefixTreeDictionary(_DictBase):
         leaf = self._root.get(key[:cut])
         return None if leaf is None else leaf.get(key[cut:])
 
-    def _leaves(self, rows):
-        """The leaf (made if absent) and the last vertex of each key of
-        ``rows``, int64 key rows. Keys whose head is that of the key before
-        them share its leaf, which only the first key of such a run looks
-        up."""
+    def _runs(self, cands):
+        """The runs of a batch's keys that share a head, a chunk of
+        ``CandidateSet.chunks`` at a time: per chunk, the head of each run
+        as bytes, the run's length, and the pool index of each key's last
+        vertex. Heads are compared as rows of pool indices."""
+        pool = cands.pool
+        for rows in cands.chunks():
+            if not self._cut:
+                yield [b""], [len(rows)], rows[:, 0].tolist()
+                continue
+            heads = rows[:, :-1]
+            fresh = (heads[1:] != heads[:-1]).any(axis=1)
+            starts = np.flatnonzero(np.concatenate(([True], fresh)))
+            sizes = np.diff(starts, append=len(rows)).tolist()
+            yield gridmod.keys_of(pool[heads[starts]]), sizes, rows[:, -1].tolist()
+
+    def _slots(self, cands):
+        """The leaf, made if absent, and the last vertex of each key of a
+        batch, in order. Each pool vertex is interned once: a vertex stored
+        as a last vertex is one object per dictionary."""
+        root, intern = self._root, self._vertices.setdefault
+        lasts = [intern(v, v) for v in gridmod.keys_of(cands.pool)]
+        return chain.from_iterable(
+            zip(chain.from_iterable(map(repeat, [root.setdefault(h, {}) for h in heads], sizes)),
+                map(lasts.__getitem__, ends))
+            for heads, sizes, ends in self._runs(cands))
+
+    def _insert_all(self, cands, payload):
+        added = 0
+        for leaf, last in self._slots(cands):
+            if last not in leaf:
+                leaf[last] = payload
+                added += 1
+        self._size += added
+
+    def _increment_all(self, cands):
+        added = 0
+        for leaf, last in self._slots(cands):
+            count = leaf.get(last)
+            if count is None:
+                leaf[last] = 1
+                added += 1
+            else:
+                leaf[last] = count + 1
+        self._size += added
+
+    # A batch that removes entries looks up the leaf of each run of keys
+    # that share a head once, when it reaches the run. A leaf that empties
+    # is deleted from the root but stays the run's leaf, which is right:
+    # nothing is added during the batch, so every later key of the run is
+    # absent, and a later run of the same head finds no leaf.
+
+    def _run_leaves(self, cands):
+        """Each run of a batch's keys that share a head: the head, its leaf
+        (an empty dict if absent) and the run's last vertices."""
+        root, lasts = self._root, gridmod.keys_of(cands.pool)
+        for heads, sizes, ends in self._runs(cands):
+            ends = map(lasts.__getitem__, ends)
+            for head, size in zip(heads, sizes):
+                yield head, root.get(head, {}), islice(ends, size)
+
+    def _decrement_all(self, cands):
+        root = self._root
+        for head, leaf, lasts in self._run_leaves(cands):
+            for last in lasts:
+                count = leaf.get(last)
+                if count is None:
+                    raise KeyError(head + last)
+                if count > 1:
+                    leaf[last] = count - 1
+                    continue
+                del leaf[last]
+                self._size -= 1
+                if not leaf:
+                    del root[head]
+
+    def _release(self, cands, curve_id):
+        root, released = self._root, set()
+        for head, leaf, lasts in self._run_leaves(cands):
+            for last in lasts:
+                if leaf.get(last) == curve_id:
+                    del leaf[last]
+                    released.add(head + last)
+                    if not leaf:
+                        del root[head]
+        self._size -= len(released)
+        return released
+
+    def _append_sorted(self, rows, payloads):
+        """Store a chunk of a block, whose keys are distinct and absent.
+        Keys whose head is that of the key before them share its leaf,
+        which only the first key of such a run looks up."""
         rows = np.ascontiguousarray(rows)
         parts = rows.view([("head", f"V{self._cut}"), ("last", f"V{8 * self.d}")])[:, 0]
         head = parts["head"]
@@ -311,81 +416,9 @@ class PrefixTreeDictionary(_DictBase):
         root = self._root
         leaves = [root.setdefault(key, {}) for key in head[starts].tolist()]
         sizes = np.diff(starts, append=len(rows)).tolist()
-        return chain.from_iterable(map(repeat, leaves, sizes)), parts["last"].tolist()
-
-    def _leaves_of(self, keys):
-        """``_leaves`` of a batch of keys, ``_CHUNK`` keys at a time, as
-        (leaf, last vertex) pairs: the vertices made for one chunk are freed
-        before the next, not left among the leaves the fold makes."""
-        return chain.from_iterable(zip(*self._leaves(self._rows(keys[start : start + _CHUNK])))
-                                   for start in range(0, len(keys), _CHUNK))
-
-    def _insert_all(self, keys, payload):
         intern = self._vertices.setdefault
-        added = 0
-        for leaf, last in self._leaves_of(keys):
-            if last not in leaf:
-                leaf[intern(last, last)] = payload
-                added += 1
-        self._size += added
-
-    def _increment_all(self, keys):
-        intern = self._vertices.setdefault
-        added = 0
-        for leaf, last in self._leaves_of(keys):
-            count = leaf.get(last)
-            if count is None:
-                leaf[intern(last, last)] = 1
-                added += 1
-            else:
-                leaf[last] = count + 1
-        self._size += added
-
-    # A batch that removes entries keeps a key's leaf while the key's head
-    # is that of the key before it. A leaf that empties is deleted from the
-    # root but stays the run's leaf, which is right: nothing is added during
-    # the batch, so every later key of the run is absent. A key of another
-    # length is absent too: its head or its last vertex has the wrong length.
-
-    def _decrement_all(self, keys):
-        cut, root = self._cut, self._root
-        head = None
-        for key in keys:
-            if key[:cut] != head:
-                head = key[:cut]
-                leaf = root.get(head, {})
-            last = key[cut:]
-            count = leaf.get(last)
-            if count is None:
-                raise KeyError(key)
-            if count > 1:
-                leaf[last] = count - 1
-                continue
-            del leaf[last]
-            self._size -= 1
-            if not leaf:
-                del root[head]
-
-    def _release(self, keys, curve_id):
-        cut, root = self._cut, self._root
-        head, released = None, set()
-        for key in keys:
-            if key[:cut] != head:
-                head = key[:cut]
-                leaf = root.get(head, {})
-            last = key[cut:]
-            if leaf.get(last) == curve_id:
-                del leaf[last]
-                released.add(key)
-                if not leaf:
-                    del root[head]
-        self._size -= len(released)
-        return released
-
-    def _append_sorted(self, rows, payloads):
-        """Store a chunk of a block, whose keys are distinct and absent."""
-        intern = self._vertices.setdefault
-        for leaf, last, payload in zip(*self._leaves(rows), payloads):
+        for leaf, last, payload in zip(chain.from_iterable(map(repeat, leaves, sizes)),
+                                       parts["last"].tolist(), payloads):
             leaf[intern(last, last)] = payload
         self._size += len(payloads)
 

@@ -167,6 +167,8 @@ class CurveIndex:
         t0 = time.perf_counter()
         kept, simplifications, skipped = self._simplify(curves)
         stats = {"lookups": 0, "candidates": {}, "dict_sizes": {}, "skipped": skipped}
+        # enumerating makes each candidate set as rows of pool indices;
+        # folding includes making its key bytes, which the hash backend does
         enumerating = folding = 0.0
         for c in kept:
             for L in lengths:
@@ -237,7 +239,8 @@ class CurveIndex:
         return kept, simplifications, skipped
 
     def _candidates(self, curve, L, grid):
-        """Candidate keys of one input curve for length-L queries on ``grid``."""
+        """The candidate set (``candidates.CandidateSet``) of one input
+        curve for length-L queries on ``grid``."""
         req = candmod.CandidateRequest(
             anchor=curve,
             out_len=L,
@@ -290,7 +293,7 @@ class CurveIndex:
             if (cid in skipped or math.dist(c.points[0], curve.points[0]) > reach
                     or math.dist(c.points[-1], curve.points[-1]) > reach):
                 continue
-            taken = [key for key in self._candidates(c, L, grid) if key in orphans]
+            taken = self._candidates(c, L, grid).where(orphans.__contains__)
             dct.insert_all_first_wins(taken, cid)
             orphans.difference_update(taken)
 

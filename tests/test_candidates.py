@@ -34,9 +34,9 @@ def test_vertex_pool_examples():
 def test_enumerate_dfd_examples():
     g = make_grid(1.0)
     a = Curve("a", [[0.0]])
-    assert candidates.enumerate_dfd(request(a, 1, 1.5, g)) == [pack(((-1,),)), pack(((0,),)),
-                                                               pack(((1,),))]
-    assert candidates.enumerate_dfd(request(a, 1, 0.4, g)) == [pack(((0,),))]
+    assert list(candidates.enumerate_dfd(request(a, 1, 1.5, g))) == [
+        pack(((-1,),)), pack(((0,),)), pack(((1,),))]
+    assert list(candidates.enumerate_dfd(request(a, 1, 0.4, g))) == [pack(((0,),))]
     keys = candidates.enumerate_dfd(request(Curve("a", [[0.0], [3.0]]), 2, 1.0, g))
     expect = {pack(((x,), (y,))) for x in (-1, 0, 1) for y in (2, 3, 4)}
     assert set(keys) == expect
@@ -48,7 +48,7 @@ def test_enumerate_lp_examples():
     assert set(keys) == {pack(((z,),)) for z in range(-4, 5)}
     zz = Curve("z", [[0.0], [0.0]])
     keys = candidates.enumerate_lp(request(zz, 2, 1e-12, make_grid(1.0, p=1.0)))
-    assert keys == [pack(((0,), (0,)))]
+    assert list(keys) == [pack(((0,), (0,)))]
 
 
 def test_enumerate_lp_fractional_edge_vs_oracle():
@@ -150,10 +150,10 @@ def test_the_last_vertex_is_tried_only_near_the_last_anchor_vertex(monkeypatch):
     rows = []
     settle = candidates._LpSteps.settle
 
-    def counted(self, new, prefix):
-        if prefix.shape[0] == self.req.out_len:
+    def counted(self, new, prefix, src, vtx):
+        if prefix.shape[0] + 1 == self.req.out_len:
             rows.append(new.shape[1])
-        return settle(self, new, prefix)
+        return settle(self, new, prefix, src, vtx)
 
     monkeypatch.setattr(candidates._LpSteps, "settle", counted)
     keys = candidates.enumerate_lp(req)
@@ -202,7 +202,8 @@ def test_determinism():
     anchor = Curve("a", rng.uniform(-1, 1, size=(3, 2)))
     g = grid.GridSpec.create(epsilon=0.5, r=1.0, d=2, m_norm=3, p=math.inf)
     req = request(anchor, 3, 1.0, g)
-    assert candidates.enumerate_dfd(req) == candidates.enumerate_dfd(req)
+    keys = list(candidates.enumerate_dfd(req))
+    assert keys and keys == list(candidates.enumerate_dfd(req))
 
 
 def test_capacity_guard_names_the_anchor():
