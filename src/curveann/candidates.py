@@ -95,18 +95,14 @@ class CandidateSet:
 
     @classmethod
     def of(cls, keys, out_len, d):
-        """The set of a sequence of keys of ``out_len`` vertices of ``d``
-        coordinates, in their order; ValueError for a key of another
-        length."""
-        size = 8 * out_len * d
-        for key in keys:
-            if not isinstance(key, bytes) or len(key) != size:
-                raise ValueError(f"a key of this shape is a bytes string of length {size}")
-        if not keys:
-            return cls(np.empty((0, d), np.int64), [], out_len)
-        vertices = gridmod.rows_of(keys, out_len * d, len(keys)).reshape(-1, d)
-        pool, index = np.unique(vertices, axis=0, return_inverse=True)
-        return cls(pool, [index.reshape(len(keys), out_len)], out_len)
+        """The set of a sequence of keys, each ``8 * out_len * d`` bytes,
+        in their order."""
+        size = 8 * d
+        index = {}  # the bytes of each distinct vertex -> its pool index
+        rows = [index.setdefault(key[start : start + size], len(index))
+                for key in keys for start in range(0, len(key), size)]
+        pool = gridmod.rows_of(list(index), d, len(index))
+        return cls(pool, [np.array(rows, np.intp).reshape(len(keys), out_len)], out_len)
 
     def __len__(self):
         return self._size
@@ -275,9 +271,9 @@ def _product(classes, out):
     ``classes``, arrays of pool indices, one row per tuple in the order of
     ``itertools.product``, by broadcasting each class along its axis."""
     shape = [len(c) for c in classes]
-    grid = out.reshape(*shape, len(classes))
+    tuples = out.reshape(*shape, len(classes))
     for j, c in enumerate(classes):
-        grid[..., j] = c.reshape([-1 if i == j else 1 for i in range(len(classes))])
+        tuples[..., j] = c.reshape([-1 if i == j else 1 for i in range(len(classes))])
     return out
 
 

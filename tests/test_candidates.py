@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import sys
 import tracemalloc
 
@@ -239,6 +240,21 @@ def test_capacity_guard_at_its_boundary(p, points, step_pairs, monkeypatch):
     with pytest.raises(CapacityExceeded) as exc:
         candidates.enumerate_candidates(request(anchor, 2, 1.25, g, max_candidates=n - 1))
     assert "edge" in str(exc.value)
+    # the keys the anchor needs: the exact count for min-max, and for finite
+    # p the count where the guard fired, which is n at the boundary
+    assert needed(exc.value) == (n, p != math.inf)
+    with pytest.raises(CapacityExceeded) as exc:
+        candidates.enumerate_candidates(request(anchor, 2, 1.25, g, max_candidates=10))
+    count, at_least = needed(exc.value)
+    assert at_least == (p != math.inf)
+    assert count == n if p == math.inf else 10 < count <= n
+
+
+def needed(exc):
+    """The number of keys a ``CapacityExceeded`` says the anchor needs, and
+    whether it is only a lower bound."""
+    match = re.search(r"needs (at least )?(\d+) keys", str(exc))
+    return int(match.group(2)), match.group(1) is not None
 
 
 def test_a_hopeless_anchor_raises_in_bounded_memory():
@@ -277,7 +293,8 @@ def test_a_hopeless_min_max_anchor_raises_before_building_keys():
     radius = 1 + eps / 2
     anchor = Curve("hopeless", [[0.3 * i, 0.2 * (i % 2)] for i in range(m)])
     g = grid.GridSpec.create(epsilon=eps, r=1.0, d=2, m_norm=m)
-    assert oracle.key_count_lower_bound(anchor.points, m, radius, g.edge, math.inf) > 10**12
+    bound = oracle.key_count_lower_bound(anchor.points, m, radius, g.edge, math.inf)
+    assert bound > 10**12
     keys_size = limit * (sys.getsizeof((None,) * m) + 8)
     tracemalloc.start()
     try:
@@ -288,6 +305,8 @@ def test_a_hopeless_min_max_anchor_raises_before_building_keys():
         tracemalloc.stop()
     assert "hopeless" in str(exc.value)
     assert peak < keys_size / 50, (peak, keys_size)
+    count, at_least = needed(exc.value)
+    assert not at_least and count >= bound
 
 
 def test_a_long_min_max_anchor_matches_brute_force():

@@ -1,11 +1,15 @@
 import io
+import itertools
 import struct
 
 import numpy as np
 import pytest
 
-from curveann import dictionary
+from curveann import candidates, dictionary
+from curveann.candidates import CandidateSet
 from curveann.dictionary import DictHeader, make_dictionary
+from curveann.geometry import Curve
+from curveann.grid import GridSpec
 from curveann.errors import CorruptFile, FormatError, ModeMismatch
 from lattice_keys import pack, unpack
 
@@ -692,3 +696,177 @@ def test_a_one_vertex_trie_empties_to_its_root(mode):
             check()
     assert tree.items() == [] and len(tree) == 0
     assert tree.node_count == 1
+
+
+# -- batches of candidate sets ------------------------------------------------
+
+
+def shuffled_lattice(rng, d):
+    """The points of {-1, 0, 1}^d in a random order: a pool whose index
+    order is not the order of its points."""
+    points = np.array(list(itertools.product((-1, 0, 1), repeat=d)), np.int64)
+    return points[rng.permutation(len(points))]
+
+
+def cut(rng, rows, pool, out_len):
+    """A candidate set of ``rows`` over ``pool``, cut into random parts,
+    some of them empty."""
+    cuts = np.sort(rng.integers(0, len(rows) + 1, size=int(rng.integers(0, 5))))
+    return CandidateSet(pool, np.split(np.asarray(rows, np.intp).reshape(-1, out_len), cuts),
+                        out_len)
+
+
+def runs_set(rng, pool, out_len):
+    """Runs of rows with one head, whose heads may come back later, and
+    whose rows may repeat."""
+    rows = []
+    for _ in range(int(rng.integers(1, 6))):
+        head = rng.integers(len(pool), size=out_len - 1).tolist()
+        rows += [head + [last] for last in rng.integers(len(pool), size=int(rng.integers(1, 6)))]
+    return cut(rng, rows, pool, out_len)
+
+
+def class_set(rng, pool, out_len):
+    """A set laid out as a min-max one: one part per product of a sequence
+    of disjoint classes of pool vertices, some classes empty, so some
+    products are empty parts."""
+    bounds = np.sort(rng.integers(0, len(pool) + 1, size=3))
+    classes = np.split(rng.permutation(len(pool)), bounds)
+    parts = []
+    for _ in range(int(rng.integers(1, 5))):
+        seq = [classes[int(i)] for i in rng.integers(len(classes), size=out_len)]
+        out = np.empty((int(np.prod([len(c) for c in seq])), out_len), np.intp)
+        parts.append(candidates._product(seq, out))
+    return CandidateSet(pool, parts, out_len)
+
+
+def stored_set(rng, dct, pool, out_len):
+    """Keys of ``dct`` in a random order, a key sometimes twice, and now and
+    then one that is absent: a set to decrement or release."""
+    index = {point.tobytes(): i for i, point in enumerate(pool)}
+    size = len(pool[0].tobytes())
+    rows = [[index[key[j : j + size]] for j in range(0, len(key), size)] for key, _ in dct.items()]
+    picks = [rows[int(i)] for i in rng.integers(len(rows), size=int(rng.integers(0, 8)))] if rows else []
+    if rng.random() < 0.3:
+        picks.insert(int(rng.integers(len(picks) + 1)), rng.integers(len(pool), size=out_len).tolist())
+    return cut(rng, picks, pool, out_len)
+
+
+def apply_both(batch, single, model, op, cands, owner):
+    """``op`` on ``batch`` as one batch call, on ``single`` as one
+    single-key call per key of ``cands``, in order, and on ``model``, a
+    plain dict of the entries; asserts that the batch gives what the
+    single-key calls give, or raises KeyError at the same key."""
+    keys = list(cands)
+    assert len(keys) == len(cands)
+    if op == "insert":
+        batch.insert_all_first_wins(cands, owner)
+        for key in keys:
+            single.insert_first_wins(key, owner)
+            model.setdefault(key, owner)
+    elif op == "increment":
+        batch.increment_all(cands)
+        for key in keys:
+            single.increment(key)
+            model[key] = model.get(key, 0) + 1
+    elif op == "release":
+        released = set()
+        for key in keys:
+            if single.lookup(key) == owner:
+                single.remove(key)
+                released.add(key)
+        assert batch.release(cands, owner) == released == {k for k in keys if model.get(k) == owner}
+        for key in released:
+            del model[key]
+    else:
+        absent = None
+        for key in keys:
+            if key not in model:
+                absent = key
+                break
+            single.decrement(key)
+            model[key] -= 1
+            if not model[key]:
+                del model[key]
+        if absent is None:
+            batch.decrement_all(cands)
+        else:
+            with pytest.raises(KeyError) as exc:
+                batch.decrement_all(cands)
+            assert exc.value.args[0] == absent
+
+
+def check_same(batch, single, model):
+    """The entries of ``batch``, ``single`` and ``model`` agree, and a trie
+    has one node per distinct prefix of whole vertices of its keys."""
+    assert batch.items() == single.items()
+    assert dict(batch.items()) == model
+    assert len(batch) == len(single) == len(model)
+    if isinstance(batch, dictionary.PrefixTreeDictionary):
+        assert batch.node_count == single.node_count == 1 + len(prefixes(model, batch.d))
+
+
+@pytest.mark.parametrize("chunk", [None, 2])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("out_len", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["nn", "count"])
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_batches_of_candidate_sets_equal_single_key_calls(backend, mode, out_len, d, chunk,
+                                                          monkeypatch):
+    """Random candidate sets: runs of shared heads that come back later,
+    repeated rows, random parts with empty ones, and min-max layouts with
+    empty class products. Each batch call leaves the entries, ``len`` and
+    ``node_count`` that one single-key call per key leaves; a release
+    returns what the single-key removes took, and a decrement raises
+    KeyError at the same key. With ``chunk`` = 2, runs span the chunks a
+    batch reads the set in; with ``out_len`` = 1 the head is empty."""
+    if chunk is not None:
+        monkeypatch.setattr(candidates, "_CHUNK", chunk)
+    rng = np.random.default_rng([49, out_len, d, mode == "count", chunk or 0])
+    pool = shuffled_lattice(rng, d)
+    batch, single = (make_dictionary(backend, mode=mode, out_len=out_len, d=d) for _ in range(2))
+    model = {}
+    grow, shrink = ("increment", "decrement") if mode == "count" else ("insert", "release")
+    empty_products = 0
+    for step in range(40):
+        owner = f"c{int(rng.integers(3))}"
+        if rng.random() < 0.5:
+            make = runs_set if rng.random() < 0.5 else class_set
+            cands = make(rng, pool, out_len)
+            empty_products += make is class_set and any(not len(part) for part in cands.parts)
+            apply_both(batch, single, model, grow, cands, owner)
+        else:
+            apply_both(batch, single, model, shrink, stored_set(rng, single, pool, out_len), owner)
+        check_same(batch, single, model)
+    assert len(batch) and empty_products
+
+
+@pytest.mark.parametrize("mode", ["nn", "count"])
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_enumerated_sets_fold_as_single_keys(backend, mode, monkeypatch):
+    """Sets made by the finite-p enumerator in steps of 3 pairs, where a
+    head spans two steps, and by the min-max enumerator, fold, and then
+    unfold, as one single-key call per key does."""
+    monkeypatch.setattr(candidates, "_STEP_PAIRS", 3)
+    rng = np.random.default_rng(50)
+    sets = []
+    for p in (1.0, float("inf")):
+        g = GridSpec.create(epsilon=0.5, r=1.0, d=1, p=p, m_norm=2)
+        for i in range(3):
+            anchor = Curve(f"a{i}", rng.uniform(-1, 1, size=(3, 1)))
+            req = candidates.CandidateRequest(anchor=anchor, out_len=2, enum_radius=1.25, grid=g)
+            sets.append((candidates.enumerate_candidates(req), anchor.id))
+    lp, minmax = sets[0][0], sets[3][0]
+    assert any((a[-1, :-1] == b[0, :-1]).all() for a, b in zip(lp.parts, lp.parts[1:]))
+    assert len(minmax.parts) > 1
+    batch, single = (make_dictionary(backend, mode=mode, out_len=2, d=1) for _ in range(2))
+    model = {}
+    grow, shrink = ("increment", "decrement") if mode == "count" else ("insert", "release")
+    for cands, owner in sets:
+        apply_both(batch, single, model, grow, cands, owner)
+        check_same(batch, single, model)
+    assert len(batch)
+    for cands, owner in sets:
+        apply_both(batch, single, model, shrink, cands, owner)
+        check_same(batch, single, model)
+    assert len(batch) == 0
