@@ -108,8 +108,9 @@ class CandidateSet:
         return self._size
 
     def chunks(self):
-        """The index rows in order, as arrays: a part of ``_CHUNK`` rows or
-        more as it is, and runs of smaller parts joined up to that many."""
+        """The index rows in order, as arrays of at least ``_CHUNK`` rows
+        but the last: consecutive parts are joined until they reach that
+        many, and a part that reaches it alone is passed as it is."""
         run, size = [], 0
         for part in self.parts:
             run.append(part)

@@ -283,6 +283,8 @@ def test_a_hopeless_anchor_raises_in_bounded_memory():
         tracemalloc.stop()
     assert "hopeless" in str(exc.value)
     assert peak < budget, (peak, budget)
+    count, at_least = needed(exc.value)
+    assert at_least and limit < count <= limit + step
 
 
 def test_a_hopeless_min_max_anchor_raises_before_building_keys():
