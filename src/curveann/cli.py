@@ -126,6 +126,13 @@ def cmd_build(args):
     # wall time is run-dependent; keep stdout byte-reproducible
     for stage, what in _STAGES:
         print(f"{stage} seconds: {idx.stats_[stage + '_seconds']:.3f} ({what})", file=sys.stderr)
+    # headroom under the capacity guard: the most keys one curve needed
+    for L in sorted(idx.dicts_):
+        counts = [(keys[L], cid) for cid, keys in idx.stats_["candidates"].items() if L in keys]
+        most, cid = max(counts, key=lambda c: c[0], default=(0, None))
+        who = "no curve" if cid is None else f"curve {cid}"
+        print(f"capacity L={L}: largest {most} keys ({who}) "
+              f"of max_candidates {idx.max_candidates}", file=sys.stderr)
     return 0
 
 

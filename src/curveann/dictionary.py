@@ -8,9 +8,11 @@ takes its key shape, L vertices of d coordinates, when it is made. Payloads
 are either a curve id (near-neighbor mode) or a counter (counting mode).
 The tree's root maps a key's head, the bytes of its first L - 1 vertices,
 to a leaf that maps its last vertex, the final ``8 * d`` bytes, to the
-payload; both are plain dicts. ``items`` and blocks list the entries in
-lexicographic order of the keys' coordinates as integers, which is not the
-order of their bytes.
+payload; both are plain dicts. Both backends list their entries through
+one path, ``_ordered``: the int64 key rows in lexicographic order of the
+coordinates as integers, which is not the order of their bytes. A block is
+written from it, and ``items`` streams it as (key, payload) a chunk at a
+time.
 
 Each batch call (``insert_all_first_wins``, ``increment_all``,
 ``decrement_all``, ``release``) takes a ``candidates.CandidateSet``: the
@@ -223,6 +225,19 @@ class _DictBase:
         rows, payloads = self._entries()
         return rows, payloads, _order(rows)
 
+    def items(self):
+        """An iterator over the entries as (key, payload), in lexicographic
+        order of the keys' integer coordinates. It sorts when it is called,
+        so an update made after the call does not show in it. It holds the
+        ``_ordered`` arrays (rows, payloads and order) and the keys of one
+        ``_CHUNK`` of the order at a time, but no list with an item per
+        entry."""
+        rows, payloads, order = self._ordered()
+        parts = (order[start : start + _CHUNK] for start in range(0, len(order), _CHUNK))
+        return chain.from_iterable(
+            zip(gridmod.keys_of(rows[part]), map(payloads.__getitem__, part.tolist()))
+            for part in parts)
+
 
 class HashedDictionary(_DictBase):
     """Hash-map backend: the keys as they are, in one dict. A batch makes
@@ -282,15 +297,6 @@ class HashedDictionary(_DictBase):
         """The int64 key rows and the payloads, in one order."""
         rows = gridmod.rows_of(self._map.keys(), self.out_len * self.d, len(self._map))
         return rows, list(self._map.values())
-
-    def items(self):
-        """Entries in lexicographic order of the keys' integer coordinates."""
-        rows, payloads, order = self._ordered()
-        out = []
-        for start in range(0, len(order), _CHUNK):
-            part = order[start : start + _CHUNK]
-            out.extend(zip(gridmod.keys_of(rows[part]), map(payloads.__getitem__, part.tolist())))
-        return out
 
     def __len__(self):
         return len(self._map)
@@ -451,20 +457,6 @@ class PrefixTreeDictionary(_DictBase):
 
     def __len__(self):
         return self._size
-
-    def items(self):
-        """Entries in lexicographic order of the keys' integer coordinates:
-        the heads in that order, and the last vertices of each leaf in that
-        order. Beside the list it returns, this holds the sorted heads and
-        one leaf's sorted vertices."""
-        root = self._root
-        head_value = struct.Struct(f"<{self.out_len * self.d - self.d}q").unpack
-        value = struct.Struct(f"<{self.d}q").unpack
-        out = []
-        for head in sorted(root, key=head_value):
-            leaf = root[head]
-            out.extend([(head + last, leaf[last]) for last in sorted(leaf, key=value)])
-        return out
 
     @property
     def node_count(self):

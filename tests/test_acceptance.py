@@ -372,14 +372,14 @@ def test_criterion_09_backend_equivalence_and_persistence(tmp_path):
             probe = pack(rng.integers(-4, 5, size=(2, 2)))
             if a.lookup(probe) != b.lookup(probe):
                 agree = False
-        if a.items() != b.items():
+        if list(a.items()) != list(b.items()):
             agree = False
         path = tmp_path / f"{mode}.annc"
         header = dictionary.DictHeader(mode=mode, p=float("inf"), epsilon=1.0,
                                        r=1.0, d=2, out_len=2, edge=1.0)
         dictionary.save(path, header, a)
         _, loaded = dictionary.load(path)
-        if loaded.items() != a.items():
+        if list(loaded.items()) != list(a.items()):
             agree = False
     report(9, "backend equivalence on 10^4 operations and persistence identity",
            agree)

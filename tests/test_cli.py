@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -71,9 +72,53 @@ def test_build_prints_stage_times_on_stderr_only(tmp_path, capsys):
     out = str(tmp_path / "idx.annc")
     code, stdout, stderr = run(["build", "--input", inp, "--radius", "1", "--out", out], capsys)
     assert code == 0
-    stages = [line.split(" seconds: ")[0] for line in stderr.splitlines()]
-    assert stages == ["build", "enumerate", "fold"]
-    assert "seconds" not in stdout
+    lines = stderr.splitlines()
+    assert [line.split(" seconds: ")[0] for line in lines[:3]] == ["build", "enumerate", "fold"]
+    assert len(lines) == 4 and lines[3].startswith("capacity L=1: ")
+    assert "seconds" not in stdout and "capacity" not in stdout
+
+
+def _capacity_lines(argv, inp, capsys):
+    """Run ``argv``, a build of the curves in ``inp``; its ``capacity``
+    lines on stderr, parsed, and the same index fitted in process."""
+    code, _, stderr = run(argv, capsys)
+    assert code == 0
+    pattern = r"capacity L=(\d+): largest (\d+) keys \((?:curve (.+)|no curve)\) of max_candidates (\d+)"
+    lines = [line for line in stderr.splitlines() if line.startswith("capacity ")]
+    parsed = []
+    for line in lines:
+        match = re.fullmatch(pattern, line)
+        assert match, line
+        L, most, cid, limit = match.groups()
+        parsed.append((int(L), int(most), cid, int(limit)))
+    idx = cli._index_from_args(cli.build_parser().parse_args(argv)).fit(cli.read_curve_file(inp))
+    return parsed, idx
+
+
+def test_build_prints_the_largest_key_count_per_length_on_stderr(tmp_path, capsys):
+    """After the stage timers, one line per query length names the curve
+    with the most keys, its count and ``max_candidates``: the figures of
+    ``stats_["candidates"]``. A length no curve was built for (asym curves
+    with no 1-vertex simplification within 2r) names no curve."""
+    records = [
+        {"id": "a", "points": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.5]]},
+        {"id": "b", "points": [[0.0, 3.0], [0.3, 3.0]]},
+        {"id": "c", "points": [[5.0, 5.0]]},
+    ]
+    inp = curve_file(tmp_path, records)
+    argv = ["build", "--input", inp, "--radius", "1", "--epsilon", "0.5", "--lengths", "1", "2",
+            "--max-candidates", "5000", "--out", str(tmp_path / "idx.annc")]
+    lines, idx = _capacity_lines(argv, inp, capsys)
+    per_curve = idx.stats_["candidates"]
+    assert [L for L, *_ in lines] == sorted(idx.dicts_) == [1, 2]
+    for L, most, cid, limit in lines:
+        assert most == max(keys[L] for keys in per_curve.values()) == per_curve[cid][L] > 0
+        assert limit == idx.max_candidates == 5000
+    inp = curve_file(tmp_path, records[:2], name="long.jsonl")
+    argv = ["build", "--input", inp, "--radius", "0.1", "--k", "1", "--out", str(tmp_path / "a")]
+    lines, idx = _capacity_lines(argv, inp, capsys)
+    assert idx.stats_["skipped"] == ["a", "b"] and not idx.stats_["candidates"]
+    assert lines == [(1, 0, None, idx.max_candidates)]
 
 
 def test_build_then_query(tmp_path, capsys):

@@ -75,7 +75,7 @@ def test_backends_observationally_equivalent():
         assert len(a) == len(b)
         for key in keys:
             assert a.lookup(key) == b.lookup(key)
-        assert a.items() == b.items()
+        assert list(a.items()) == list(b.items())
 
 
 @pytest.mark.parametrize("backend", ["hash", "trie"])
@@ -93,7 +93,7 @@ def test_batches_equal_one_key_at_a_time(backend):
                 for key in part:
                     one.insert_first_wins(key, f"c{i}")
                 batch.insert_all_first_wins(part, f"c{i}")
-        assert batch.items() == one.items()
+        assert list(batch.items()) == list(one.items())
         assert (batch.out_len, batch.d) == (2, 1)
     counted = make_dictionary(backend, mode="count", out_len=2, d=1)
     counted.increment_all(keys)
@@ -161,7 +161,7 @@ def test_save_load_round_trip(backend, tmp_path):
     dictionary.save(path, header(), dct)
     hdr, loaded = dictionary.load(path, backend=backend)
     assert hdr == header()
-    assert loaded.items() == dct.items()
+    assert list(loaded.items()) == list(dct.items())
 
 
 def test_save_load_empty(tmp_path):
@@ -276,7 +276,7 @@ def test_blocks_round_trip_a_chunk_at_a_time(backend, chunk, monkeypatch):
         dictionary.write_block(buf, header(mode=mode, out_len=3, d=2), built)
         buf.seek(0)
         _, loaded = dictionary.read_block(buf, backend)
-        assert loaded.items() == built.items()
+        assert list(loaded.items()) == list(built.items())
         assert len(loaded) == len(built)
         if backend == "trie":
             assert loaded.node_count == built.node_count
@@ -431,7 +431,7 @@ def test_items_follow_the_integer_order_of_the_coordinates(mode):
             dct.increment(key) if mode == "count" else dct.insert_first_wins(key, f"c{step}")
         model[key] = model.get(key, 0) + 1 if mode == "count" else model.get(key, f"c{step}")
     want = sorted(model.items(), key=lambda entry: unpack(entry[0], 2))
-    assert hashed.items() == tree.items() == want
+    assert list(hashed.items()) == list(tree.items()) == want
     assert [key for key, _ in want] != sorted(model)  # byte order would differ
 
 
@@ -489,7 +489,7 @@ def test_blocks_list_extreme_keys_in_integer_order(mode, out_len, d, source):
     assert blocks[0][start:] == struct.pack("<Q", len(want)) + b"".join(entries)
     for backend in ("hash", "trie"):
         _, loaded = dictionary.read_block(io.BytesIO(blocks[0]), backend)
-        assert loaded.items() == want
+        assert list(loaded.items()) == want
         again = io.BytesIO()
         dictionary.write_block(again, hdr, loaded)
         assert again.getvalue() == blocks[0]
@@ -518,7 +518,7 @@ def test_random_operations_keep_the_backends_equal(mode, out_len, d):
            ["insert_first_wins", "insert_all_first_wins", "release", "remove"])
     for step in range(300):
         op = ops[int(rng.integers(len(ops)))]
-        entries = hashed.items()
+        entries = list(hashed.items())
         stored = [key for key, _ in entries]
         present = op in ("decrement", "remove") and stored and rng.random() < 0.8
         if "_all" in op or op == "release":
@@ -539,7 +539,7 @@ def test_random_operations_keep_the_backends_equal(mode, out_len, d):
             key = stored[int(rng.integers(len(stored)))] if present else draw()
             args = (key, f"c{step}") if op == "insert_first_wins" else (key,)
         absent = op in ("decrement", "remove") and hashed.lookup(args[0]) is None
-        before = hashed.items()
+        before = list(hashed.items())
         results = []
         for dct in (hashed, tree):
             if absent:
@@ -548,19 +548,19 @@ def test_random_operations_keep_the_backends_equal(mode, out_len, d):
             else:
                 results.append(getattr(dct, op)(*args))
         if absent:
-            assert hashed.items() == before
+            assert list(hashed.items()) == before
         else:
             assert results[0] == results[1]
-        assert tree.items() == hashed.items()
-        assert len(tree) == len(hashed) == len(hashed.items())
+        assert list(tree.items()) == list(hashed.items())
+        assert len(tree) == len(hashed) == len(list(hashed.items()))
         assert tree.node_count == 1 + len(prefixes((k for k, _ in tree.items()), d))
     if mode == "count":
         absent = pack(((2,) * d,) * out_len)  # draw() never makes a coordinate 2
         for dct in (hashed, tree):
-            before = dct.items()
+            before = list(dct.items())
             with pytest.raises(KeyError):
                 dct.decrement_all([absent])
-            assert dct.items() == before
+            assert list(dct.items()) == before
 
 
 @pytest.mark.parametrize("backend", ["hash", "trie"])
@@ -600,7 +600,7 @@ def test_release_is_a_lookup_then_remove_per_key(backend):
         for key in want:
             del model[key]
         assert dct.release(batch, owner) == released == want
-        assert dct.items() == twin.items()
+        assert list(dct.items()) == list(twin.items())
         assert dict(dct.items()) == model
         assert len(dct) == len(twin) == len(model)
         if backend == "trie":
@@ -609,14 +609,14 @@ def test_release_is_a_lookup_then_remove_per_key(backend):
     everything = [key for key, _ in dct.items()]
     for owner in owners:
         dct.release(everything, owner)
-    assert len(dct) == 0 and dct.items() == []
+    assert len(dct) == 0 and list(dct.items()) == []
     if backend == "trie":
         assert dct.node_count == 1
     counting = make_dictionary(backend, mode="count", out_len=3, d=2)
     counting.increment(everything[0])
     with pytest.raises(ModeMismatch):
         counting.release(everything[:1], "c0")
-    assert counting.items() == [(everything[0], 1)]
+    assert list(counting.items()) == [(everything[0], 1)]
 
 
 @pytest.mark.parametrize("backend", ["hash", "trie"])
@@ -631,7 +631,7 @@ def test_lookups_of_keys_of_another_length_miss(backend):
         for drop in (dct.decrement, dct.remove):
             with pytest.raises(KeyError):
                 drop(key)
-    assert dct.items() == [(K1, 1)]
+    assert list(dct.items()) == [(K1, 1)]
 
 
 @pytest.mark.parametrize("mode", ["nn", "count"])
@@ -642,7 +642,7 @@ def test_a_key_of_the_wrong_length_changes_nothing(mode):
     for key in (K1[:8], K1 + pack(((0,),)), b""):
         with pytest.raises(ValueError):
             insert(key)
-        assert dct.items() == [(K1, 1 if mode == "count" else "A")]
+        assert list(dct.items()) == [(K1, 1 if mode == "count" else "A")]
         assert (len(dct), dct.node_count) == (1, 3)
 
 
@@ -658,7 +658,7 @@ def test_an_empty_block_of_the_longest_key_shape_sorts_nothing(backend, mode):
     data += bytes(8)  # no entry
     hdr, dct = dictionary.read_block(io.BytesIO(data), backend)
     assert (hdr.out_len, len(dct)) == (out_len, 0)
-    assert dct.items() == []
+    assert list(dct.items()) == []
     out = io.BytesIO()
     dictionary.write_block(out, hdr, dct)
     assert out.getvalue() == data
@@ -675,7 +675,7 @@ def test_a_one_vertex_trie_empties_to_its_root(mode):
     batches = [keys[start : start + 50] for start in range(0, len(keys), 50)]
 
     def check():
-        assert tree.items() == hashed.items()
+        assert list(tree.items()) == list(hashed.items())
         assert len(tree) == len(hashed)
         assert tree.node_count == 1 + len(tree)
 
@@ -694,7 +694,7 @@ def test_a_one_vertex_trie_empties_to_its_root(mode):
         for i in reversed(range(len(batches))):
             assert tree.release(keys, f"c{i}") == hashed.release(keys, f"c{i}")
             check()
-    assert tree.items() == [] and len(tree) == 0
+    assert list(tree.items()) == [] and len(tree) == 0
     assert tree.node_count == 1
 
 
@@ -799,7 +799,7 @@ def apply_both(batch, single, model, op, cands, owner):
 def check_same(batch, single, model):
     """The entries of ``batch``, ``single`` and ``model`` agree, and a trie
     has one node per distinct prefix of whole vertices of its keys."""
-    assert batch.items() == single.items()
+    assert list(batch.items()) == list(single.items())
     assert dict(batch.items()) == model
     assert len(batch) == len(single) == len(model)
     if isinstance(batch, dictionary.PrefixTreeDictionary):

@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import struct
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -262,7 +263,7 @@ def check_equals_a_fresh_fit(idx, live):
     fresh = CurveIndex(**{**idx.get_params(), "query_lengths": sorted(idx.dicts_)}).fit(live)
     assert sorted(fresh.dicts_) == sorted(idx.dicts_)
     for L, dct in idx.dicts_.items():
-        assert dct.items() == fresh.dicts_[L].items()
+        assert list(dct.items()) == list(fresh.dicts_[L].items())
 
 
 def check_asym_keys(idx, live):
@@ -529,7 +530,7 @@ def test_save_load_round_trip(tmp_path):
     loaded = CurveIndex.load(path)
     assert sorted(loaded.dicts_) == sorted(idx.dicts_)
     for L in idx.dicts_:
-        assert loaded.dicts_[L].items() == idx.dicts_[L].items()
+        assert list(loaded.dicts_[L].items()) == list(idx.dicts_[L].items())
     assert set(loaded.registry_) == set(idx.registry_)
     q = Curve("q", curves[0].points)
     assert loaded.query(q).match == idx.query(q).match
@@ -801,6 +802,17 @@ def test_an_empty_block_whose_keys_numpy_cannot_hold_is_corrupt(tmp_path, backen
         CurveIndex.load(path, backend=backend)
 
 
+def _chunked_dtw_index(mode, backend="trie"):
+    """A DTW index of one block of over 50,000 entries, more than six
+    chunks of a block."""
+    shape = np.array([[0.0], [0.4], [0.8], [0.4]])
+    curves = [Curve("c0", shape), Curve("c1", shape + 0.03)]
+    idx = CurveIndex(epsilon=0.5, r=1.0, metric="dtw", mode=mode, backend=backend).fit(curves)
+    (dct,) = idx.dicts_.values()
+    assert len(dct) >= 50_000 > 6 * dictionary._CHUNK
+    return idx, dct
+
+
 @pytest.mark.parametrize("mode", ["nn", "count"])
 def test_save_and_load_hold_a_few_chunks_at_a_time(tmp_path, mode):
     """Blocks are encoded and decoded a chunk at a time. Beyond what the
@@ -808,16 +820,12 @@ def test_save_and_load_hold_a_few_chunks_at_a_time(tmp_path, mode):
     arrays, key tuples and lists, taken at 256 bytes an entry; beyond the
     entry list of ``items()``, neither does a save. A reader or writer that
     works on a whole block at once holds more on this index (7 chunks)."""
-    shape = np.array([[0.0], [0.4], [0.8], [0.4]])
-    curves = [Curve("c0", shape), Curve("c1", shape + 0.03)]
-    idx = CurveIndex(epsilon=0.5, r=1.0, metric="dtw", mode=mode, backend="trie").fit(curves)
-    (dct,) = idx.dicts_.values()
-    assert len(dct) >= 50_000 > 6 * dictionary._CHUNK
+    idx, dct = _chunked_dtw_index(mode)
     budget = 2 * dictionary._CHUNK * 256
     path = tmp_path / "idx.annc"
     tracemalloc.start()
     try:
-        items = dct.items()
+        items = list(dct.items())
         items_size = tracemalloc.get_traced_memory()[0]
         del items
         tracemalloc.reset_peak()
@@ -830,9 +838,41 @@ def test_save_and_load_hold_a_few_chunks_at_a_time(tmp_path, mode):
         kept, load_peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert loaded.dicts_[4].items() == dct.items()
+    assert list(loaded.dicts_[4].items()) == list(dct.items())
     assert save_peak < items_size + budget, (save_peak, items_size, budget)
     assert load_peak - kept < budget, (load_peak, kept, budget)
+
+
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+@pytest.mark.parametrize("mode", ["nn", "count"])
+def test_items_streams_its_entries_a_chunk_at_a_time(mode, backend):
+    """``items()`` sorts when it is called and then yields the entries a
+    chunk at a time: summing the payloads through it holds at its peak the
+    ``_ordered`` arrays and one chunk's entries, taken at 256 bytes an
+    entry, but no list of every entry (on this index, more than 6 MiB). An
+    update after the call does not show in what it yields."""
+    idx, dct = _chunked_dtw_index(mode, backend)
+    rows, payloads, order = dct._ordered()
+    bound = rows.nbytes + sys.getsizeof(payloads) + order.nbytes + dictionary._CHUNK * 256
+    del rows, payloads, order
+    size = int if mode == "count" else len
+    want = list(dct.items())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        total = sum(size(payload) for _, payload in dct.items())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert total == sum(size(payload) for _, payload in want)
+    assert peak < bound, (peak, bound)
+    entries = dct.items()
+    dct.remove(want[0][0])
+    assert list(entries) == want
+    assert list(dct.items()) == want[1:]
+    empty = dictionary.make_dictionary(backend, dct.mode, out_len=dct.out_len, d=dct.d)
+    assert list(empty.items()) == []
 
 
 def _bench_workload(name, seed):
@@ -906,5 +946,6 @@ def test_a_hash_index_holds_no_tracked_object_per_entry(tmp_path, workload):
     path = tmp_path / "idx.annc"
     idx.save(path)
     loaded, read = _tracked_growth(lambda: CurveIndex.load(path))
-    assert loaded.dicts_[max(loaded.dicts_)].items() == idx.dicts_[max(idx.dicts_)].items()
+    assert (list(loaded.dicts_[max(loaded.dicts_)].items())
+            == list(idx.dicts_[max(idx.dicts_)].items()))
     assert fitted < entries / 100 and read < entries / 100, (fitted, read, entries)
