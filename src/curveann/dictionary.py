@@ -8,11 +8,10 @@ takes its key shape, L vertices of d coordinates, when it is made. Payloads
 are either a curve id (near-neighbor mode) or a counter (counting mode).
 The tree's root maps a key's head, the bytes of its first L - 1 vertices,
 to a leaf that maps its last vertex, the final ``8 * d`` bytes, to the
-payload; both are plain dicts. Both backends list their entries through
-one path, ``_ordered``: the int64 key rows in lexicographic order of the
-coordinates as integers, which is not the order of their bytes. A block is
-written from it, and ``items`` streams it as (key, payload) a chunk at a
-time.
+payload; both are plain dicts. ``items`` and blocks list the entries in
+lexicographic order of the keys' coordinates as integers, which is not the
+order of their bytes, from one sort of their rows (``_ordered``); ``items``
+makes the key bytes of a chunk of them at a time.
 
 Each batch call (``insert_all_first_wins``, ``increment_all``,
 ``decrement_all``, ``release``) takes a ``candidates.CandidateSet``: the
@@ -227,11 +226,10 @@ class _DictBase:
 
     def items(self):
         """An iterator over the entries as (key, payload), in lexicographic
-        order of the keys' integer coordinates. It sorts when it is called,
-        so an update made after the call does not show in it. It holds the
-        ``_ordered`` arrays (rows, payloads and order) and the keys of one
-        ``_CHUNK`` of the order at a time, but no list with an item per
-        entry."""
+        order of the keys' integer coordinates, sorted when it is called (an
+        update after the call does not show in it). It holds the ``_ordered``
+        arrays (rows, payloads and order) and one ``_CHUNK``'s keys, but no
+        list per entry."""
         rows, payloads, order = self._ordered()
         parts = (order[start : start + _CHUNK] for start in range(0, len(order), _CHUNK))
         return chain.from_iterable(

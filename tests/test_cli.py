@@ -83,7 +83,8 @@ def _capacity_lines(argv, inp, capsys):
     lines on stderr, parsed, and the same index fitted in process."""
     code, _, stderr = run(argv, capsys)
     assert code == 0
-    pattern = r"capacity L=(\d+): largest (\d+) keys \((?:curve (.+)|no curve)\) of max_candidates (\d+)"
+    pattern = (r"capacity L=(\d+): largest (\d+) keys \((?:curve (.+)|no curve)\) "
+               r"of max_candidates (\d+)")
     lines = [line for line in stderr.splitlines() if line.startswith("capacity ")]
     parsed = []
     for line in lines:

@@ -818,8 +818,9 @@ def test_save_and_load_hold_a_few_chunks_at_a_time(tmp_path, mode):
     """Blocks are encoded and decoded a chunk at a time. Beyond what the
     loaded index keeps, a load holds at its peak no more than two chunks'
     arrays, key tuples and lists, taken at 256 bytes an entry; beyond the
-    entry list of ``items()``, neither does a save. A reader or writer that
-    works on a whole block at once holds more on this index (7 chunks)."""
+    size of a list of every entry, ``list(items())``, neither does a save.
+    A reader or writer that works on a whole block at once holds more on
+    this index (7 chunks)."""
     idx, dct = _chunked_dtw_index(mode)
     budget = 2 * dictionary._CHUNK * 256
     path = tmp_path / "idx.annc"
@@ -851,7 +852,7 @@ def test_items_streams_its_entries_a_chunk_at_a_time(mode, backend):
     ``_ordered`` arrays and one chunk's entries, taken at 256 bytes an
     entry, but no list of every entry (on this index, more than 6 MiB). An
     update after the call does not show in what it yields."""
-    idx, dct = _chunked_dtw_index(mode, backend)
+    _, dct = _chunked_dtw_index(mode, backend)
     rows, payloads, order = dct._ordered()
     bound = rows.nbytes + sys.getsizeof(payloads) + order.nbytes + dictionary._CHUNK * 256
     del rows, payloads, order
