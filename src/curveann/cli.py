@@ -109,7 +109,7 @@ def cmd_build(args):
     tmp = _file_beside(args.out)
     try:
         idx.fit(curves)
-        for cid in idx._order:
+        for cid in idx.registry_:
             per_len = idx.stats_["candidates"].get(cid, {})
             total = sum(per_len.values())
             print(f"candidates\t{cid}\t{total}")
@@ -136,28 +136,28 @@ def cmd_build(args):
     return 0
 
 
-def cmd_query(args):
-    idx = CurveIndex.load(args.index, backend=args.backend)
+def _answer_each(args, method, show):
+    """Load the index, answer each query with ``method`` and print its id
+    and ``show(answer)``; a query the index cannot answer gets an error
+    line on stderr."""
+    answer = getattr(CurveIndex.load(args.index, backend=args.backend), method)
     for q in read_curve_file(args.queries):
         try:
-            res = idx.query(q)
+            got = answer(q)
         except CurveAnnError as exc:
             print(f"{q.id}\tERROR\t{exc}", file=sys.stderr)
             continue
-        print(f"{q.id}\t{res.match if res.found else 'NO'}\t{_fmt(res.guarantee)}")
+        print(f"{q.id}\t{show(got)}")
     return 0
+
+
+def cmd_query(args):
+    return _answer_each(args, "query",
+                        lambda res: f"{res.match if res.found else 'NO'}\t{_fmt(res.guarantee)}")
 
 
 def cmd_count(args):
-    idx = CurveIndex.load(args.index, backend=args.backend)
-    for q in read_curve_file(args.queries):
-        try:
-            c = idx.count(q)
-        except CurveAnnError as exc:
-            print(f"{q.id}\tERROR\t{exc}", file=sys.stderr)
-            continue
-        print(f"{q.id}\t{c}")
-    return 0
+    return _answer_each(args, "count", str)
 
 
 def cmd_simplify(args):

@@ -307,9 +307,10 @@ class PrefixTreeDictionary(_DictBase):
     ``out_len - 1`` vertices (``b""`` when ``out_len`` is 1), to a leaf: a
     plain dict from the key's last vertex, its final ``8 * d`` bytes, to
     the payload. A lookup is two probes. Every leaf holds at least one
-    entry: a leaf that empties is deleted from the root. Each last vertex is
-    one object per dictionary, which all leaves share, so an entry costs no
-    object beyond its slot in a leaf. A batch is folded from its rows of
+    entry: a leaf that empties is deleted from the root. The last vertices
+    are shared objects, one per pool vertex of a batch or per distinct
+    vertex of a load chunk, so an entry costs no object beyond its slot in
+    a leaf. A batch is folded from its rows of
     pool indices: the keys of a run of rows with one head share a leaf,
     which the run looks up once, and no key is made per entry. A block is
     written from int64 rows read off the heads and the leaves' vertices,
@@ -320,9 +321,6 @@ class PrefixTreeDictionary(_DictBase):
         super().__init__(mode, out_len=out_len, d=d)
         self._root = {}
         self._size = 0
-        # each vertex of a batch's pool that was folded in, as its one
-        # shared object: the last vertices of the leaves are among them
-        self._vertices = {}
         self._cut = 8 * d * (out_len - 1)  # the length of a head
 
     def _get(self, key):
@@ -352,10 +350,9 @@ class PrefixTreeDictionary(_DictBase):
 
     def _slots(self, cands):
         """The leaf, made if absent, and the last vertex of each key of a
-        batch, in order. Each pool vertex is interned once: a vertex stored
-        as a last vertex is one object per dictionary."""
-        root, intern = self._root, self._vertices.setdefault
-        lasts = [intern(v, v) for v in gridmod.keys_of(cands.pool)]
+        batch, in order. The keys of the batch share one object per pool
+        vertex as their last vertices."""
+        root, lasts = self._root, gridmod.keys_of(cands.pool)
         return chain.from_iterable(
             zip(chain.from_iterable(map(repeat, [root.setdefault(h, {}) for h in heads], sizes)),
                 map(lasts.__getitem__, ends))
@@ -425,7 +422,8 @@ class PrefixTreeDictionary(_DictBase):
     def _append_sorted(self, rows, payloads):
         """Store a chunk of a block, whose keys are distinct and absent.
         Keys whose head is that of the key before them share its leaf,
-        which only the first key of such a run looks up."""
+        which only the first key of such a run looks up, and the chunk's
+        keys share one object per distinct last vertex."""
         rows = np.ascontiguousarray(rows)
         parts = rows.view([("head", f"V{self._cut}"), ("last", f"V{8 * self.d}")])[:, 0]
         head = parts["head"]
@@ -433,7 +431,7 @@ class PrefixTreeDictionary(_DictBase):
         root = self._root
         leaves = [root.setdefault(key, {}) for key in head[starts].tolist()]
         sizes = np.diff(starts, append=len(rows)).tolist()
-        intern = self._vertices.setdefault
+        intern = {}.setdefault
         for leaf, last, payload in zip(chain.from_iterable(map(repeat, leaves, sizes)),
                                        parts["last"].tolist(), payloads):
             leaf[intern(last, last)] = payload

@@ -20,6 +20,7 @@ import math
 import struct
 import time
 from dataclasses import dataclass
+from itertools import dropwhile, islice
 from typing import Optional
 
 import numpy as np
@@ -140,60 +141,38 @@ class CurveIndex:
     def fit(self, curves):
         """Build the structure over ``curves`` (a sequence of Curve).
 
-        The new structure replaces the fitted one only when the build
-        succeeds: a build that raises leaves the index as it was.
+        Each curve is added by the step ``insert_curve`` takes (``_add``),
+        on a staged index whose grids are sized for the longest curve. The
+        staged structure replaces the fitted one only when every curve was
+        added: a build that raises leaves the index as it was.
         """
         p = self._validated()
         curves = list(curves)
         if not curves:
             raise ValueError("at least one input curve is required")
-        dims = {c.dim for c in curves}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"mixed input dimensions {sorted(dims)}")
-        ids = [c.id for c in curves]
-        if len(set(ids)) != len(ids):
-            raise ValueError("curve ids must be unique")
-        d = dims.pop()
-
+        d, longest = curves[0].dim, max(len(c) for c in curves)
         lengths = self._build_lengths(curves, p)
-        longest = max(len(c) for c in curves)
-        grids = {L: self._grid_for(L, longest, d, p) for L in lengths}
         dict_mode = dictmod.MODE_COUNT if self.mode == "count" else dictmod.MODE_NN
-        dicts = {
-            L: dictmod.make_dictionary(self.backend, dict_mode, out_len=L, d=d)
-            for L in lengths
-        }
-
+        staged = type(self)(**self.get_params())
+        staged._publish(p, d, {}, {L: self._grid_for(L, longest, d, p) for L in lengths},
+                        {L: dictmod.make_dictionary(self.backend, dict_mode, out_len=L, d=d)
+                         for L in lengths},
+                        {}, {"lookups": 0, "candidates": {}, "dict_sizes": {}, "skipped": []})
         t0 = time.perf_counter()
-        kept, simplifications, skipped = self._simplify(curves)
-        stats = {"lookups": 0, "candidates": {}, "dict_sizes": {}, "skipped": skipped}
-        # enumerating makes each candidate set as rows of pool indices;
-        # folding includes making its key bytes, which the hash backend does
-        enumerating = folding = 0.0
-        for c in kept:
-            for L in lengths:
-                t1 = time.perf_counter()
-                keys = self._candidates(c, L, grids[L])
-                t2 = time.perf_counter()
-                self._fold(dicts[L], c.id, keys)
-                enumerating += t2 - t1
-                folding += time.perf_counter() - t2
-                stats["candidates"].setdefault(c.id, {})[L] = len(keys)
-        for L in lengths:
-            stats["dict_sizes"][L] = len(dicts[L])
-        stats["enumerate_seconds"] = enumerating
-        stats["fold_seconds"] = folding
+        took = [staged._add(c) for c in curves]
+        stats = staged.stats_
         stats["build_seconds"] = time.perf_counter() - t0
-        self._publish(p, d, {c.id: c for c in curves}, ids, grids, dicts,
-                      simplifications, stats)
+        stats["enumerate_seconds"], stats["fold_seconds"] = map(sum, zip(*took))
+        self._publish(p, d, staged.registry_, staged.grids_, staged.dicts_,
+                      staged.simplifications_, stats)
         return self
 
-    def _publish(self, p, d, registry, order, grids, dicts, simplifications, stats):
-        """Make a built or loaded structure the one this index answers from."""
+    def _publish(self, p, d, registry, grids, dicts, simplifications, stats):
+        """Make a built or loaded structure the one this index answers from.
+        ``registry`` maps each curve id to its curve, in insertion order."""
         self._p = p
         self._d = d
         self.registry_ = registry
-        self._order = order
         self.grids_ = grids
         self.dicts_ = dicts
         self.simplifications_ = simplifications
@@ -286,7 +265,7 @@ class CurveIndex:
         # the slack keeps rounding from dropping a curve at the bound
         reach = 2 * (1 + self.epsilon / 2) * self.r * (1 + 1e-9)
         skipped = set(self.stats_["skipped"])
-        for cid in self._order[self._order.index(curve.id) + 1:]:
+        for cid in islice(dropwhile(curve.id.__ne__, self.registry_), 1, None):
             if not orphans:
                 break
             c = self.registry_[cid]
@@ -342,7 +321,8 @@ class CurveIndex:
     # -- dynamic updates ----------------------------------------------------
 
     def insert_curve(self, curve):
-        """Add one curve: enumerate its candidate sets and fold them in.
+        """Add one curve: enumerate its candidate sets and fold them in, by
+        the step ``fit`` takes for each of its curves (``_add``).
 
         For finite p, a curve whose alignments with some supported query
         length can have more pairs than the grid was sized for is rejected
@@ -351,22 +331,33 @@ class CurveIndex:
         so an insert that raises leaves the index as it was.
         """
         self._check_fitted()
+        self._check_pair_bound(curve)
+        self._add(curve)
+
+    def _add(self, curve):
+        """Check, simplify and enumerate ``curve`` for every length, then
+        register it and fold its candidate sets in. Nothing changes before
+        the last enumeration returns. Returns the seconds spent enumerating
+        and folding."""
         if curve.id in self.registry_:
             raise ValueError(f"duplicate curve id {curve.id!r}")
         if curve.dim != self._d:
-            raise DimensionMismatch("curve dimension mismatch")
-        self._check_pair_bound(curve)
+            raise DimensionMismatch(f"curve {curve.id!r} is {curve.dim}-dim, not {self._d}-dim")
         kept, simplifications, skipped = self._simplify([curve])
+        # enumerating makes each candidate set as rows of pool indices;
+        # folding includes making its key bytes, which the hash backend does
+        t0 = time.perf_counter()
         keys = {L: self._candidates(curve, L, g) for L, g in self.grids_.items()} if kept else {}
+        t1 = time.perf_counter()
         self.simplifications_.update(simplifications)
         self.stats_["skipped"] += skipped
         self.registry_[curve.id] = curve
-        self._order.append(curve.id)
         for L, found in keys.items():
             self._fold(self.dicts_[L], curve.id, found)
         if keys:
             self.stats_["candidates"][curve.id] = {L: len(found) for L, found in keys.items()}
         self._count_entries()
+        return t1 - t0, time.perf_counter() - t1
 
     def _count_entries(self):
         self.stats_["dict_sizes"] = {L: len(dct) for L, dct in self.dicts_.items()}
@@ -399,7 +390,6 @@ class CurveIndex:
                 self._unfold(L, curve)
         del self.registry_[curve_id]
         self._results.pop(curve_id, None)
-        self._order.remove(curve_id)
         self.simplifications_.pop(curve_id, None)
         self.stats_["candidates"].pop(curve_id, None)
         self._count_entries()
@@ -422,9 +412,8 @@ class CurveIndex:
                 )
                 dictmod.write_block(f, header, self.dicts_[L])
             f.write(_REGISTRY_MAGIC)
-            f.write(struct.pack("<Q", len(self._order)))
-            for cid in self._order:
-                curve = self.registry_[cid]
+            f.write(struct.pack("<Q", len(self.registry_)))
+            for cid, curve in self.registry_.items():
                 raw = cid.encode("utf-8")
                 f.write(struct.pack("<I", len(raw)) + raw)
                 f.write(struct.pack("<II", len(curve), curve.dim))
@@ -449,7 +438,6 @@ class CurveIndex:
                 ids = set()  # the block's distinct curve ids
                 blocks.append((*dictmod.read_block(f, backend, ids), ids))
             (n,) = struct.unpack("<Q", dictmod._read_exact(f, 8))
-            order = []
             registry = {}
             for _ in range(n):
                 (idlen,) = struct.unpack("<I", dictmod._read_exact(f, 4))
@@ -462,10 +450,9 @@ class CurveIndex:
                     cid = raw.decode("utf-8")
                     curve = geometry.Curve(cid, pts)
                 except ValueError as exc:  # an id that is not UTF-8, or bad points
-                    raise CorruptFile(f"registry curve {len(order)}: {exc}") from exc
+                    raise CorruptFile(f"registry curve {len(registry)}: {exc}") from exc
                 if cid in registry:
                     raise CorruptFile(f"registry holds {cid!r} twice")
-                order.append(cid)
                 registry[cid] = curve
         if not blocks:
             raise FormatError("no dictionary blocks in file")
@@ -509,9 +496,9 @@ class CurveIndex:
             except ValueError as exc:
                 raise CorruptFile(f"block for length {h.out_len}: {exc}") from exc
             dicts[h.out_len] = dct
-        _, simplifications, skipped = idx._simplify([registry[cid] for cid in order])
+        _, simplifications, skipped = idx._simplify(registry.values())
         idx._publish(
-            h0.p, h0.d, registry, order, grids, dicts,
+            h0.p, h0.d, registry, grids, dicts,
             simplifications=simplifications,
             stats={
                 "lookups": 0,

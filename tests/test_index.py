@@ -360,7 +360,9 @@ def test_predict_equals_a_query_loop():
 
 def test_a_failed_build_leaves_the_index_as_it_was():
     """A point at 0.5 has 4 lattice points within 1.5 on the unit grid and
-    one at 0.0 has 3, so max_candidates=3 stops a fit or insert at curve x."""
+    one at 0.0 has 3, so max_candidates=3 stops a fit or insert at curve x.
+    A refit also stops at a repeated id or at a curve of another dimension,
+    after it has added the curves before it to its staged structure."""
     q = Curve("q", [[0.0]])
     fresh = CurveIndex(epsilon=1.0, r=1.0, max_candidates=3)
     with pytest.raises(CapacityExceeded):
@@ -372,12 +374,18 @@ def test_a_failed_build_leaves_the_index_as_it_was():
 
     idx = CurveIndex(epsilon=1.0, r=1.0, max_candidates=3).fit([Curve("a", [[0.0]])])
     entries = dict(idx.dicts_[1].items())
-    with pytest.raises(CapacityExceeded):
-        idx.fit([Curve("b", [[5.0]]), Curve("x", [[10.5]])])
-    assert idx.query(q).match == "a"
-    assert not idx.query(Curve("q", [[5.0]])).found
-    assert dict(idx.dicts_[1].items()) == entries
-    assert list(idx.registry_) == ["a"]
+    for curves, error, match in (
+        ([Curve("b", [[5.0]]), Curve("x", [[10.5]])], CapacityExceeded, "3"),
+        ([Curve("b", [[5.0]]), Curve("b", [[8.0]])], ValueError, "duplicate curve id 'b'"),
+        ([Curve("b", [[5.0]]), Curve("y", [[8.0, 0.0]])], DimensionMismatch, "'y' is 2-dim"),
+    ):
+        with pytest.raises(error, match=match):
+            idx.fit(curves)
+        assert idx.query(q).match == "a"
+        assert not idx.query(Curve("q", [[5.0]])).found
+        assert dict(idx.dicts_[1].items()) == entries
+        assert list(idx.registry_) == ["a"]
+        assert idx.stats_["candidates"] == {"a": {1: 3}}
 
     with pytest.raises(CapacityExceeded):
         idx.insert_curve(Curve("x", [[10.5]]))
@@ -912,12 +920,52 @@ def test_a_fitted_trie_holds_under_100_bytes_an_entry():
 
 
 @pytest.mark.parametrize("mode", ["nn", "count"])
+def test_a_trie_holds_no_more_after_inserts_and_deletes(mode):
+    """Inserting and then deleting a curve far from the fitted one leaves a
+    trie of the same entries and about the same bytes, 200 times over. A
+    table of every last vertex ever folded held about 2 KB more a pair
+    here. A dict keeps its size once emptied, so the bytes are compared
+    from after two pairs, which size the root for one such curve."""
+    base = Curve("a", [[0.0, 0.0], [1.0, 0.5], [2.0, 0.0]])
+
+    def churn(i):
+        far = Curve(f"x{i}", base.points + 100.0 * (i + 1))
+        idx.insert_curve(far)
+        idx.delete_curve(far.id)
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        idx = CurveIndex(epsilon=1.0, r=1.0, mode=mode, backend="trie").fit([base])
+        entries = dict(idx.dicts_[3].items())
+        churn(0)
+        churn(1)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        for i in range(2, 202):
+            churn(i)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert len(entries) > 3000
+    assert dict(idx.dicts_[3].items()) == entries
+    assert list(idx.registry_) == ["a"]
+    assert grown < 4096, grown
+
+
+@pytest.mark.parametrize("mode", ["nn", "count"])
 def test_fit_times_its_enumeration_and_fold(mode):
     curves = [Curve("a", [[0.0], [0.5]]), Curve("b", [[0.2], [0.6]])]
     idx = CurveIndex(epsilon=1.0, r=1.0, metric="dtw", mode=mode).fit(curves)
     stats = idx.stats_
     assert stats["enumerate_seconds"] >= 0 and stats["fold_seconds"] >= 0
     assert stats["enumerate_seconds"] + stats["fold_seconds"] <= stats["build_seconds"]
+    # the timers describe fit; updates leave them as they are
+    timers = {k: stats[k] for k in ("enumerate_seconds", "fold_seconds", "build_seconds")}
+    idx.insert_curve(Curve("c", [[0.1], [0.4]]))
+    idx.delete_curve("c")
+    assert {k: idx.stats_[k] for k in timers} == timers
 
 
 def _tracked_growth(build):
