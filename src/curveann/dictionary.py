@@ -307,14 +307,13 @@ class PrefixTreeDictionary(_DictBase):
     ``out_len - 1`` vertices (``b""`` when ``out_len`` is 1), to a leaf: a
     plain dict from the key's last vertex, its final ``8 * d`` bytes, to
     the payload. A lookup is two probes. Every leaf holds at least one
-    entry: a leaf that empties is deleted from the root. The last vertices
-    are shared objects, one per pool vertex of a batch or per distinct
-    vertex of a load chunk, so an entry costs no object beyond its slot in
-    a leaf. A batch is folded from its rows of
-    pool indices: the keys of a run of rows with one head share a leaf,
-    which the run looks up once, and no key is made per entry. A block is
-    written from int64 rows read off the heads and the leaves' vertices,
-    again with no key made per entry.
+    entry: a leaf that empties is deleted from the root. Last vertices are
+    shared objects, one per pool vertex of a batch or per distinct vertex
+    of a load chunk, so an entry costs no object beyond its slot in a leaf.
+    A batch is folded from its rows of pool indices: the keys of a run of
+    rows with one head share a leaf, which the run looks up once, and no
+    key is made per entry. A block is written from int64 rows read off the
+    heads and the leaves' vertices, again with no key made per entry.
     """
 
     def __init__(self, mode=MODE_NN, *, out_len, d):

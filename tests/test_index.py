@@ -375,7 +375,7 @@ def test_a_failed_build_leaves_the_index_as_it_was():
     idx = CurveIndex(epsilon=1.0, r=1.0, max_candidates=3).fit([Curve("a", [[0.0]])])
     entries = dict(idx.dicts_[1].items())
     for curves, error, match in (
-        ([Curve("b", [[5.0]]), Curve("x", [[10.5]])], CapacityExceeded, "3"),
+        ([Curve("b", [[5.0]]), Curve("x", [[10.5]])], CapacityExceeded, "anchor 'x' needs 4"),
         ([Curve("b", [[5.0]]), Curve("b", [[8.0]])], ValueError, "duplicate curve id 'b'"),
         ([Curve("b", [[5.0]]), Curve("y", [[8.0, 0.0]])], DimensionMismatch, "'y' is 2-dim"),
     ):
