@@ -23,13 +23,14 @@ alignment DP admits it, which is the same decision as
 finite p the p-th root of an accepted total is taken on Python floats.
 
 Candidates are returned as a ``CandidateSet``: the pool's int64 lattice
-points and, per key, a row of L pool indices, held in parts. A finite-p
-part is the accepted pairs of one last-level step, so it holds at most
-``_STEP_PAIRS`` rows. A min-max part is the Cartesian product of one
-sequence of mask classes, written by broadcasting into one index array of
-the exact key count. No key is made as bytes (the form of ``grid``) until a
-consumer asks for it: the hash dictionary makes them a chunk at a time as
-it folds, and the prefix tree reads its runs of shared heads straight from
+points and one array with, per key, a row of L pool indices. The min-max
+enumerator allocates that array at the exact key count and writes the
+Cartesian product of each accepted sequence of mask classes into it by
+broadcasting. The finite-p enumerator keeps the accepted pairs of each
+last-level step, at most ``_STEP_PAIRS`` rows, and joins them once at the
+end. No key is made as bytes (the form of ``grid``) until a consumer asks
+for it: the hash dictionary makes them a chunk of rows at a time as it
+folds, and the prefix tree reads its runs of shared heads straight from
 the index rows.
 
 ``CapacityExceeded`` is raised exactly when the key set exceeds
@@ -51,8 +52,8 @@ from .geometry import DFD
 
 DEFAULT_MAX_CANDIDATES = 10**8
 
-# index rows a consumer of a candidate set takes at once: runs of small
-# parts are joined up to this many rows before their keys are made
+# index rows a consumer of a candidate set takes at once, whose keys it
+# makes together
 _CHUNK = 1 << 13
 
 
@@ -76,22 +77,21 @@ class CandidateRequest:
 class CandidateSet:
     """The keys of one candidate request, as rows of pool indices.
 
-    ``pool`` is an (n, d) int64 array of distinct lattice points, and each
-    of ``parts`` a (k, L) integer array with one row per key: the pool
-    index of each of the key's L vertices. The key itself is the bytes of
+    ``pool`` is an (n, d) int64 array of distinct lattice points, and
+    ``rows`` a (k, L) integer array with one row per key: the pool index of
+    each of the key's L vertices. The key itself is the bytes of
     ``pool[row]`` (``grid`` module docstring), made only when asked for.
     ``len`` is the number of keys, and iterating yields their bytes in
     order. Two rows are the same key exactly when they are equal, as the
     pool points are distinct.
     """
 
-    __slots__ = ("pool", "parts", "out_len", "_size")
+    __slots__ = ("pool", "rows", "out_len")
 
-    def __init__(self, pool, parts, out_len):
+    def __init__(self, pool, rows, out_len):
         self.pool = pool
-        self.parts = parts
+        self.rows = rows
         self.out_len = out_len
-        self._size = sum(map(len, parts))
 
     @classmethod
     def of(cls, keys, out_len, d):
@@ -102,24 +102,16 @@ class CandidateSet:
         rows = [index.setdefault(key[start : start + size], len(index))
                 for key in keys for start in range(0, len(key), size)]
         pool = gridmod.rows_of(list(index), d, len(index))
-        return cls(pool, [np.array(rows, np.intp).reshape(len(keys), out_len)], out_len)
+        return cls(pool, np.array(rows, np.intp).reshape(len(keys), out_len), out_len)
 
     def __len__(self):
-        return self._size
+        return len(self.rows)
 
     def chunks(self):
-        """The index rows in order, as arrays of at least ``_CHUNK`` rows
-        but the last: consecutive parts are joined until they reach that
-        many, and a part that reaches it alone is passed as it is."""
-        run, size = [], 0
-        for part in self.parts:
-            run.append(part)
-            size += len(part)
-            if size >= _CHUNK:
-                yield run[0] if len(run) == 1 else np.concatenate(run)
-                run, size = [], 0
-        if size:
-            yield np.concatenate(run)
+        """The index rows in order, ``_CHUNK`` at a time, as views of
+        ``rows``."""
+        rows = self.rows
+        return (rows[start : start + _CHUNK] for start in range(0, len(rows), _CHUNK))
 
     def __iter__(self):
         """The keys' bytes, in order, made a chunk at a time."""
@@ -128,11 +120,8 @@ class CandidateSet:
 
     def where(self, keep):
         """The set of the keys for which ``keep(key)`` is true, in order."""
-        parts = []
-        for rows in self.chunks():
-            keys = gridmod.keys_of(self.pool[rows])
-            parts.append(rows[np.fromiter(map(keep, keys), bool, len(rows))])
-        return CandidateSet(self.pool, parts, self.out_len)
+        kept = np.fromiter(map(keep, self), bool, len(self))
+        return CandidateSet(self.pool, self.rows[kept], self.out_len)
 
 
 def vertex_pool(anchor, radius, grid):
@@ -158,11 +147,11 @@ def _pool_and_dists(req):
     Any vertex of a candidate within the enumeration radius must lie within
     that radius of some anchor vertex (each candidate vertex is matched to at
     least one anchor vertex, and no matched pair can exceed the total cost).
+    An empty pool has an empty table, from which an enumerator makes the
+    empty set by its general path.
     """
     pool = np.asarray(vertex_pool(req.anchor, req.enum_radius, req.grid), dtype=np.int64)
     pool = pool.reshape(len(pool), req.grid.d)
-    if not len(pool):
-        return pool, None
     return pool, geometry.pairwise_dists(pool * req.grid.edge, req.anchor.points)
 
 
@@ -203,14 +192,12 @@ def enumerate_dfd(req):
     so each accepted sequence of mask classes contributes the Cartesian
     product of its classes' members. The guard is decided on the exact key
     count, these products' sizes summed by a DP, before any key is built.
-    The products are then broadcast, one part each, into one index array of
-    that count.
+    The products are then broadcast, one after another, into one index
+    array of that count: the rows of the returned set.
     """
     if req.grid.p != DFD:
         raise ModeMismatch("enumerate_dfd requires the min-max metric")
     pool, adist = _pool_and_dists(req)
-    if not len(pool):
-        return CandidateSet(pool, [], req.out_len)
     # masks are Python ints, one bit per anchor vertex however many there are
     bits = np.packbits(adist <= req.enum_radius, axis=1, bitorder="little")
     members = {}  # a class's members, as pool indices
@@ -244,11 +231,11 @@ def enumerate_dfd(req):
     rows = np.empty((count, req.out_len), np.intp)
     if not last:
         rows[:, 0] = ends[0]
-        return CandidateSet(pool, [rows] if count else [], req.out_len)
+        return CandidateSet(pool, rows, req.out_len)
 
-    parts, pos = [], 0
+    pos = 0
     chosen = [None] * req.out_len
-    # (level, edges left); a recursive closure would keep ``parts`` in a cycle
+    # (level, edges left); a recursive closure would keep ``rows`` in a cycle
     stack = [(0, iter(steps[0][0]))]
     while stack:
         j, left = stack[-1]
@@ -259,23 +246,21 @@ def enumerate_dfd(req):
                 break
             chosen[last] = ends[S2]
             n = math.prod(map(len, chosen))
-            if n:
-                parts.append(_product(chosen, rows[pos : pos + n]))
-                pos += n
+            _product(chosen, rows[pos : pos + n])
+            pos += n
         else:
             stack.pop()
-    return CandidateSet(pool, parts, req.out_len)
+    return CandidateSet(pool, rows, req.out_len)
 
 
 def _product(classes, out):
-    """Write into ``out`` and return it: the Cartesian product of
-    ``classes``, arrays of pool indices, one row per tuple in the order of
-    ``itertools.product``, by broadcasting each class along its axis."""
+    """Write into ``out`` the Cartesian product of ``classes``, arrays of
+    pool indices, one row per tuple in the order of ``itertools.product``,
+    by broadcasting each class along its axis."""
     shape = [len(c) for c in classes]
     tuples = out.reshape(*shape, len(classes))
     for j, c in enumerate(classes):
         tuples[..., j] = c.reshape([-1 if i == j else 1 for i in range(len(classes))])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +293,13 @@ def enumerate_lp(req):
     or, for other p, when its total passes the slack budget and its p-th
     root, taken on Python floats, is at most the radius: the same decision
     as ``geometry.distance(anchor, candidate, p) <= radius``. The accepted
-    pairs of one last-level step are joined into index rows, one part of
-    the returned set; the pairs that fail are never joined.
+    pairs of one last-level step are joined into index rows, one part; the
+    pairs that fail are never joined. The parts are joined once, into the
+    rows of the returned set.
     """
     if req.grid.p == DFD:
         raise ModeMismatch("enumerate_lp requires a finite metric exponent")
     pool, adist = _pool_and_dists(req)
-    if not len(pool):
-        return CandidateSet(pool, [], req.out_len)
     return _LpSteps(req, pool, adist).run()
 
 
@@ -343,7 +327,9 @@ class _LpSteps:
         self.last_order = np.argsort(self.cost[-1], kind="stable")
         self.last_cost = self.cost[-1][self.last_order]
         self.pool = pool[order]
-        self.parts = []
+        # the accepted rows, one part per last-level step; the first part,
+        # empty, gives the join its row shape when no key is accepted
+        self.parts = [np.empty((0, req.out_len), np.intp)]
         self.count = 0
 
     def run(self):
@@ -355,7 +341,7 @@ class _LpSteps:
         for lo in range(0, n_first, _STEP_PAIRS):
             vtx = order[lo : lo + _STEP_PAIRS]
             self.settle(first[:, vtx], np.empty((0, 1), np.intp), np.zeros(len(vtx), np.intp), vtx)
-        return CandidateSet(self.pool, self.parts, self.req.out_len)
+        return CandidateSet(self.pool, np.concatenate(self.parts), self.req.out_len)
 
     def extend(self, rows, row_min, prefix):
         """Append one vertex to each prefix of a chunk, in bounded steps."""

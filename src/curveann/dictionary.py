@@ -14,13 +14,14 @@ order of their bytes, from one sort of their rows (``_ordered``); ``items``
 makes the key bytes of a chunk of them at a time.
 
 Each batch call (``insert_all_first_wins``, ``increment_all``,
-``decrement_all``, ``release``) takes a ``candidates.CandidateSet``: the
-keys of one candidate request as rows of pool indices, in parts, or a
-sequence of keys. The hash map folds a set's key bytes, made a chunk of
-rows at a time, and a sequence as it is. The tree makes a sequence into
-the set of its rows, and folds the rows by head: a run of rows whose first
-L - 1 indices are equal shares one head, made as bytes once, and each pool
-vertex is made as bytes once per set, so no key is made per entry.
+``decrement_all``, ``release``) takes a ``candidates.CandidateSet``, the
+keys of one candidate request as one array of rows of pool indices, or an
+iterable of keys, which ``_DictBase._batch`` makes into the set of its
+rows. Both backends fold candidate sets only. The hash map folds a set's
+key bytes, made a chunk of rows at a time. The tree folds the rows by
+head: a run of rows whose first L - 1 indices are equal shares one head,
+made as bytes once, and each pool vertex is made as bytes once per set, so
+no key is made per entry.
 
 Index file layout, format version 1, little-endian with no padding: a block
 per supported query length L, then the curve registry. A block is the
@@ -173,24 +174,27 @@ class _DictBase:
 
     # batches, the only calls the dynamic index makes to change a
     # dictionary. A batch is a ``candidates.CandidateSet``, the key set of
-    # one candidate request as rows of pool indices, or a sequence of keys
-    # (``_batch``). Each batch call does what one single-key call per key,
-    # in the batch's order, does.
+    # one candidate request as rows of pool indices, or an iterable of keys,
+    # which ``_batch`` makes into a set: the backends fold sets only. Each
+    # batch call does what one single-key call per key, in the batch's
+    # order, does.
 
     def _batch(self, keys):
-        """``keys``, a candidate set or a sequence of keys, in the form the
-        backend folds (``_from_keys``). ValueError if its keys have another
-        shape than this dictionary's."""
+        """``keys``, a candidate set or an iterable of keys, as a candidate
+        set. An iterable is read once, so a one-shot iterator is a batch
+        too. ValueError if its keys have another shape than this
+        dictionary's."""
         if isinstance(keys, CandidateSet):
             if (keys.out_len, keys.pool.shape[1]) != (self.out_len, self.d):
                 raise ValueError(f"a key of this dictionary has {self.out_len} vertices "
                                  f"of {self.d} coordinates")
             return keys
+        keys = list(keys)
         size = 8 * self.out_len * self.d
         for key in keys:
             if not isinstance(key, bytes) or len(key) != size:
                 raise ValueError(f"a key of this dictionary is a bytes string of length {size}")
-        return self._from_keys(keys)
+        return CandidateSet.of(keys, self.out_len, self.d)
 
     def insert_all_first_wins(self, keys, curve_id):
         """``insert_first_wins`` for each key of a batch."""
@@ -248,11 +252,6 @@ class HashedDictionary(_DictBase):
 
     def _get(self, key):
         return self._map.get(key)
-
-    @staticmethod
-    def _from_keys(keys):
-        """A sequence of keys is folded as it is, as a set's key bytes are."""
-        return keys
 
     def _insert_all(self, cands, payload):
         put = self._map.setdefault
@@ -326,10 +325,6 @@ class PrefixTreeDictionary(_DictBase):
         cut = self._cut
         leaf = self._root.get(key[:cut])
         return None if leaf is None else leaf.get(key[cut:])
-
-    def _from_keys(self, keys):
-        """A sequence of keys is folded as the candidate set of its rows."""
-        return CandidateSet.of(keys, self.out_len, self.d)
 
     def _runs(self, cands):
         """The runs of a batch's keys that share a head, a chunk of

@@ -132,8 +132,11 @@ class CurveIndex:
                 raise ValueError("the asymmetric mode requires k >= 1")
         elif self.k is not None:
             raise ValueError(f"k is for the asymmetric mode only, not mode {self.mode!r}")
-        if self.query_lengths is not None and any(L < 1 for L in self.query_lengths):
-            raise ValueError("query lengths must be >= 1")
+        if self.query_lengths is not None:
+            if not len(self.query_lengths):
+                raise ValueError("at least one query length is required")
+            if any(L < 1 for L in self.query_lengths):
+                raise ValueError("query lengths must be >= 1")
         return p
 
     # -- build --------------------------------------------------------------
@@ -490,9 +493,7 @@ class CurveIndex:
         for h, dct, _ in blocks:
             try:
                 grids[h.out_len] = gridmod.GridSpec.from_edge(
-                    h.edge, h.epsilon, h.r, h.d, h.p,
-                    m_norm=h.out_len if h.p != geometry.DFD else 1,
-                )
+                    h.edge, h.epsilon, h.r, h.d, h.p, m_norm=h.out_len)
             except ValueError as exc:
                 raise CorruptFile(f"block for length {h.out_len}: {exc}") from exc
             dicts[h.out_len] = dct

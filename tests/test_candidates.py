@@ -52,6 +52,29 @@ def test_enumerate_lp_examples():
     assert list(keys) == [pack(((0,), (0,)))]
 
 
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_chunks_are_views_that_join_to_the_rows(p, chunk, monkeypatch):
+    """``chunks`` yields ``rows`` ``_CHUNK`` at a time, every chunk but the
+    last full, as views of ``rows`` that, joined, are ``rows``; the keys
+    are those of the rows, in order. A set with no key has no chunk."""
+    monkeypatch.setattr(candidates, "_CHUNK", chunk)
+    g = grid.GridSpec.create(epsilon=0.5, r=1.0, d=1, p=p, m_norm=2)
+    cands = candidates.enumerate_candidates(request(Curve("a", [[0.0], [0.7]]), 2, 1.25, g))
+    chunks = list(cands.chunks())
+    assert len(cands) == len(cands.rows) > 3 * chunk
+    assert [len(c) for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+    assert 0 < len(chunks[-1]) <= chunk
+    assert all(np.shares_memory(c, cands.rows) for c in chunks)
+    assert np.array_equal(np.concatenate(chunks), cands.rows)
+    assert list(cands) == [cands.pool[row].tobytes() for row in cands.rows]
+    # no lattice point within 0.1 of 0.5: an empty pool and an empty set
+    empty = candidates.enumerate_candidates(request(Curve("a", [[0.5]] * 2), 2, 0.1,
+                                                    make_grid(1.0, p=p)))
+    assert empty.rows.shape == (0, 2) and len(empty) == 0
+    assert list(empty.chunks()) == [] and list(empty) == []
+
+
 def test_enumerate_lp_fractional_edge_vs_oracle():
     g = make_grid(0.5, p=1.0)
     a = Curve("a", [[0.0], [1.0]])

@@ -119,6 +119,32 @@ def test_batches_check_the_shape_and_mode(backend):
     assert len(counted) == 0
 
 
+def four_batches(backend, feed, keys):
+    """The entries after each of the four batch calls, each given its keys
+    through ``feed``, and what the release returns."""
+    nn = make_dictionary(backend, out_len=2, d=1)
+    counted = make_dictionary(backend, mode="count", out_len=2, d=1)
+    nn.insert_all_first_wins(feed(keys), "a")
+    counted.increment_all(feed(keys))
+    grown = list(nn.items()), list(counted.items())
+    released = nn.release(feed(keys[::3]), "a")
+    counted.decrement_all(feed(keys[::3]))
+    return grown, released, list(nn.items()), list(counted.items())
+
+
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_batches_given_as_one_shot_iterators(backend):
+    """Each batch call given a generator of keys, which can be read once,
+    leaves what the same call given the list of those keys leaves."""
+    rng = np.random.default_rng(44)
+    keys = [pack(rng.integers(-2, 3, size=(2, 1))) for _ in range(40)]
+    want = four_batches(backend, list, keys)
+    assert four_batches(backend, lambda ks: (key for key in ks), keys) == want
+    (nn, counted), released, nn_left, counted_left = want
+    assert nn and counted and released and len(nn_left) < len(nn)
+    assert sum(n for _, n in counted_left) < sum(n for _, n in counted)
+
+
 def test_trie_node_count_bound():
     rng = np.random.default_rng(42)
     dct = make_dictionary("trie", out_len=3, d=2)
@@ -708,12 +734,9 @@ def shuffled_lattice(rng, d):
     return points[rng.permutation(len(points))]
 
 
-def cut(rng, rows, pool, out_len):
-    """A candidate set of ``rows`` over ``pool``, cut into random parts,
-    some of them empty."""
-    cuts = np.sort(rng.integers(0, len(rows) + 1, size=int(rng.integers(0, 5))))
-    return CandidateSet(pool, np.split(np.asarray(rows, np.intp).reshape(-1, out_len), cuts),
-                        out_len)
+def rows_set(rows, pool, out_len):
+    """The candidate set of ``rows``, lists of pool indices, over ``pool``."""
+    return CandidateSet(pool, np.asarray(rows, np.intp).reshape(-1, out_len), out_len)
 
 
 def runs_set(rng, pool, out_len):
@@ -723,21 +746,23 @@ def runs_set(rng, pool, out_len):
     for _ in range(int(rng.integers(1, 6))):
         head = rng.integers(len(pool), size=out_len - 1).tolist()
         rows += [head + [last] for last in rng.integers(len(pool), size=int(rng.integers(1, 6)))]
-    return cut(rng, rows, pool, out_len)
+    return rows_set(rows, pool, out_len)
 
 
 def class_set(rng, pool, out_len):
-    """A set laid out as a min-max one: one part per product of a sequence
-    of disjoint classes of pool vertices, some classes empty, so some
-    products are empty parts."""
+    """A set laid out as a min-max one: the products of sequences of
+    disjoint classes of pool vertices, written one after another into one
+    array of rows, and the number of those products that are empty. Some
+    classes are empty, so some products are."""
     bounds = np.sort(rng.integers(0, len(pool) + 1, size=3))
     classes = np.split(rng.permutation(len(pool)), bounds)
-    parts = []
-    for _ in range(int(rng.integers(1, 5))):
-        seq = [classes[int(i)] for i in rng.integers(len(classes), size=out_len)]
-        out = np.empty((int(np.prod([len(c) for c in seq])), out_len), np.intp)
-        parts.append(candidates._product(seq, out))
-    return CandidateSet(pool, parts, out_len)
+    seqs = [[classes[int(i)] for i in rng.integers(len(classes), size=out_len)]
+            for _ in range(int(rng.integers(1, 5)))]
+    sizes = [int(np.prod([len(c) for c in seq])) for seq in seqs]
+    rows = np.empty((sum(sizes), out_len), np.intp)
+    for seq, start, size in zip(seqs, np.cumsum([0] + sizes).tolist(), sizes):
+        candidates._product(seq, rows[start : start + size])
+    return CandidateSet(pool, rows, out_len), sizes.count(0)
 
 
 def stored_set(rng, dct, pool, out_len):
@@ -749,7 +774,7 @@ def stored_set(rng, dct, pool, out_len):
     picks = [rows[int(i)] for i in rng.integers(len(rows), size=int(rng.integers(0, 8)))] if rows else []
     if rng.random() < 0.3:
         picks.insert(int(rng.integers(len(picks) + 1)), rng.integers(len(pool), size=out_len).tolist())
-    return cut(rng, picks, pool, out_len)
+    return rows_set(picks, pool, out_len)
 
 
 def apply_both(batch, single, model, op, cands, owner):
@@ -814,15 +839,15 @@ def check_same(batch, single, model):
 def test_batches_of_candidate_sets_equal_single_key_calls(backend, mode, out_len, d, chunk,
                                                           monkeypatch):
     """Random candidate sets: runs of shared heads that come back later,
-    repeated rows, random parts with empty ones, and min-max layouts with
-    empty class products. Each batch call leaves the entries, ``len`` and
-    ``node_count`` that one single-key call per key leaves; a release
-    returns what the single-key removes took, and a decrement raises
-    KeyError at the same key. With ``chunk`` = 2, runs span the chunks a
-    batch reads the set in; with ``out_len`` = 1 the head is empty."""
+    repeated rows, and min-max layouts with empty class products. Each
+    batch call leaves the entries, ``len`` and ``node_count`` that one
+    single-key call per key leaves; a release returns what the single-key
+    removes took, and a decrement raises KeyError at the same key. With
+    ``chunk`` = 2, runs span the chunks a batch reads the set in; with
+    ``out_len`` = 1 the head is empty."""
     if chunk is not None:
         monkeypatch.setattr(candidates, "_CHUNK", chunk)
-    rng = np.random.default_rng([49, out_len, d, mode == "count", chunk or 0])
+    rng = np.random.default_rng([52, out_len, d, mode == "count", chunk or 0])
     pool = shuffled_lattice(rng, d)
     batch, single = (make_dictionary(backend, mode=mode, out_len=out_len, d=d) for _ in range(2))
     model = {}
@@ -831,9 +856,11 @@ def test_batches_of_candidate_sets_equal_single_key_calls(backend, mode, out_len
     for step in range(40):
         owner = f"c{int(rng.integers(3))}"
         if rng.random() < 0.5:
-            make = runs_set if rng.random() < 0.5 else class_set
-            cands = make(rng, pool, out_len)
-            empty_products += make is class_set and any(not len(part) for part in cands.parts)
+            if rng.random() < 0.5:
+                cands = runs_set(rng, pool, out_len)
+            else:
+                cands, empty = class_set(rng, pool, out_len)
+                empty_products += empty
             apply_both(batch, single, model, grow, cands, owner)
         else:
             apply_both(batch, single, model, shrink, stored_set(rng, single, pool, out_len), owner)
@@ -844,10 +871,12 @@ def test_batches_of_candidate_sets_equal_single_key_calls(backend, mode, out_len
 @pytest.mark.parametrize("mode", ["nn", "count"])
 @pytest.mark.parametrize("backend", ["hash", "trie"])
 def test_enumerated_sets_fold_as_single_keys(backend, mode, monkeypatch):
-    """Sets made by the finite-p enumerator in steps of 3 pairs, where a
-    head spans two steps, and by the min-max enumerator, fold, and then
-    unfold, as one single-key call per key does."""
+    """Sets made by the finite-p enumerator in steps of 3 pairs and by the
+    min-max enumerator, read in chunks of 3 rows, where a finite-p head
+    spans two chunks and the min-max set spans more than one, fold, and
+    then unfold, as one single-key call per key does."""
     monkeypatch.setattr(candidates, "_STEP_PAIRS", 3)
+    monkeypatch.setattr(candidates, "_CHUNK", 3)
     rng = np.random.default_rng(50)
     sets = []
     for p in (1.0, float("inf")):
@@ -857,8 +886,9 @@ def test_enumerated_sets_fold_as_single_keys(backend, mode, monkeypatch):
             req = candidates.CandidateRequest(anchor=anchor, out_len=2, enum_radius=1.25, grid=g)
             sets.append((candidates.enumerate_candidates(req), anchor.id))
     lp, minmax = sets[0][0], sets[3][0]
-    assert any((a[-1, :-1] == b[0, :-1]).all() for a, b in zip(lp.parts, lp.parts[1:]))
-    assert len(minmax.parts) > 1
+    chunks = list(lp.chunks())
+    assert any((a[-1, :-1] == b[0, :-1]).all() for a, b in zip(chunks, chunks[1:]))
+    assert len(list(minmax.chunks())) > 1
     batch, single = (make_dictionary(backend, mode=mode, out_len=2, d=1) for _ in range(2))
     model = {}
     grow, shrink = ("increment", "decrement") if mode == "count" else ("insert", "release")

@@ -92,6 +92,9 @@ def test_param_validation():
         CurveIndex(mode="asym", metric=1.0, k=2).fit([Curve("a", [[0.0]])])
     with pytest.raises(ValueError):
         CurveIndex(mode="asym", metric=math.inf).fit([Curve("a", [[0.0]])])
+    # no query length would build no dictionary, and no query could be answered
+    with pytest.raises(ValueError, match="at least one query length is required"):
+        CurveIndex(query_lengths=[]).fit([Curve("a", [[0.0]])])
 
 
 @pytest.mark.parametrize("mode", ["nn", "count"])
@@ -542,6 +545,25 @@ def test_save_load_round_trip(tmp_path):
     assert set(loaded.registry_) == set(idx.registry_)
     q = Curve("q", curves[0].points)
     assert loaded.query(q).match == idx.query(q).match
+
+
+@pytest.mark.parametrize("params", [
+    dict(metric="dfd", query_lengths=[2, 3]),
+    dict(metric="dtw"),
+    dict(metric="dtw", mode="count"),
+    dict(metric="dfd", mode="asym", k=2),
+], ids=["nn-dfd", "nn-dtw", "count-dtw", "asym"])
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_a_loaded_index_has_the_fitted_grids(tmp_path, backend, params):
+    """Every grid of a loaded index equals the one ``fit`` made for its
+    length, ``m_norm`` and the finite-p pair bound included."""
+    rng = np.random.default_rng(81)
+    idx = CurveIndex(epsilon=1.0, r=1.0, backend=backend, **params).fit(dataset(rng, 4, 3, 1))
+    path = tmp_path / "idx.annc"
+    idx.save(path)
+    loaded = CurveIndex.load(path, backend=backend)
+    assert loaded.grids_ == idx.grids_
+    assert [g.m_norm for g in loaded.grids_.values()] == list(loaded.grids_)
 
 
 def test_load_with_param_expectations(tmp_path):
