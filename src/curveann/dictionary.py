@@ -141,43 +141,14 @@ class _DictBase:
             mode = "counting" if counting else "near-neighbor"
             raise ModeMismatch(f"{what} requires {mode} mode")
 
-    def insert_first_wins(self, key, curve_id):
-        """Insert only if absent; existing payloads are never overwritten."""
-        before = len(self)
-        self.insert_all_first_wins((key,), curve_id)
-        return len(self) > before
-
-    def increment(self, key):
-        """Counting mode: absent -> 1, present -> count + 1."""
-        self.increment_all((key,))
-        return self._get(key)
-
-    def decrement(self, key):
-        """Counting mode: count -> count - 1, removing the key at 0; returns
-        the new count. KeyError, changing nothing, when the key is absent."""
-        self._require(True, "decrement")
-        if self._get(key) is None:
-            raise KeyError(key)
-        self.decrement_all((key,))
-        return self._get(key) or 0
-
-    def remove(self, key):
-        """Remove a stored key, whatever its payload. KeyError, changing
-        nothing, when the key is absent."""
-        payload = self._get(key)
-        if payload is None:
-            raise KeyError(key)
-        self._release(self._batch((key,)), payload)
-
     def lookup(self, key):
         return self._get(key)
 
-    # batches, the only calls the dynamic index makes to change a
-    # dictionary. A batch is a ``candidates.CandidateSet``, the key set of
-    # one candidate request as rows of pool indices, or an iterable of keys,
-    # which ``_batch`` makes into a set: the backends fold sets only. Each
-    # batch call does what one single-key call per key, in the batch's
-    # order, does.
+    # batches, the only calls that change a dictionary. A batch is a
+    # ``candidates.CandidateSet``, the key set of one candidate request as
+    # rows of pool indices, or an iterable of keys, which ``_batch`` makes
+    # into a set: the backends fold sets only. A batch folds its keys in
+    # its order, so a key it repeats is folded once per time it appears.
 
     def _batch(self, keys):
         """``keys``, a candidate set or an iterable of keys, as a candidate
@@ -197,19 +168,22 @@ class _DictBase:
         return CandidateSet.of(keys, self.out_len, self.d)
 
     def insert_all_first_wins(self, keys, curve_id):
-        """``insert_first_wins`` for each key of a batch."""
-        self._require(False, "insert_first_wins")
+        """Store ``curve_id`` at each key of a batch that is absent; a
+        stored payload is never overwritten."""
+        self._require(False, "insert_all_first_wins")
         self._insert_all(self._batch(keys), curve_id)
 
     def increment_all(self, keys):
-        """``increment`` each key of a batch."""
-        self._require(True, "increment")
+        """Counting mode: add 1 to the count of each key of a batch, an
+        absent key taking count 1."""
+        self._require(True, "increment_all")
         self._increment_all(self._batch(keys))
 
     def decrement_all(self, keys):
-        """``decrement`` each key of a batch; KeyError at the first absent
+        """Counting mode: take 1 from the count of each key of a batch,
+        removing a key whose count reaches 0. KeyError at the first absent
         key, after the keys before it are decremented."""
-        self._require(True, "decrement")
+        self._require(True, "decrement_all")
         self._decrement_all(self._batch(keys))
 
     def release(self, keys, curve_id):

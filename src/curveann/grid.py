@@ -14,9 +14,7 @@ an optimal alignment without one exists, and a non-redundant alignment of
 curves of lengths M and L has at most ``max(M, L, M+L-2)`` pairs
 (``geometry.max_non_redundant_pairs``). An index answering length-L queries
 over curves of length at most M therefore sizes its grid with
-``N = max(M, L, M+L-2)``. Without an explicit N, ``create`` falls back to
-``2*m_norm``, which covers inputs of length at most
-``min(2*m_norm, m_norm + 2)``.
+``N = max(M, L, M+L-2)``, which ``create`` takes as ``pairs``.
 
 One rule snaps a coordinate ``c`` to its lattice coordinate, and
 ``snap_point`` and ``snap_curve`` share it: ``floor(c / edge + 0.5)`` in
@@ -52,7 +50,6 @@ class GridSpec:
     epsilon: float
     r: float
     d: int
-    m_norm: int
     p: float
     # alignment pairs the finite-p edge budgets snapping error for; None
     # for the min-max metric, whose edge does not depend on it
@@ -65,28 +62,30 @@ class GridSpec:
             raise ValueError("epsilon must be in (0, 1]")
         if self.r <= 0:
             raise ValueError("r must be positive")
-        if self.d < 1 or self.m_norm < 1:
-            raise ValueError("d and m_norm must be >= 1")
+        if self.d < 1:
+            raise ValueError("d must be >= 1")
         if self.pairs is not None and self.pairs < 1:
             raise ValueError("pairs must be >= 1")
 
     @classmethod
-    def create(cls, epsilon, r, d, p=geometry.DFD, m_norm=1, pairs=None):
+    def create(cls, epsilon, r, d, p=geometry.DFD, pairs=None):
+        """The spec of these parameters. Finite p requires ``pairs``, the
+        pair bound N (module docstring); the min-max metric ignores it."""
         p = geometry.check_p(p)
         if p == geometry.DFD:
             edge = epsilon * r / math.sqrt(d)
             pairs = None
         else:
             if pairs is None:
-                pairs = 2 * m_norm
+                raise ValueError("a finite-p grid requires a pair bound")
             edge = epsilon * r / (pairs ** (1.0 / p) * math.sqrt(d))
-        return cls(edge=edge, epsilon=epsilon, r=r, d=d, m_norm=m_norm, p=p, pairs=pairs)
+        return cls(edge=edge, epsilon=epsilon, r=r, d=d, p=p, pairs=pairs)
 
     @classmethod
-    def from_edge(cls, edge, epsilon, r, d, p, m_norm):
+    def from_edge(cls, edge, epsilon, r, d, p):
         """The spec ``create`` makes with the given edge, recovering N for
         finite p; ValueError if no spec of these parameters has that edge."""
-        spec = cls(edge=edge, epsilon=epsilon, r=r, d=d, m_norm=m_norm, p=geometry.check_p(p))
+        spec = cls(edge=edge, epsilon=epsilon, r=r, d=d, p=geometry.check_p(p))
         if spec.p == geometry.DFD:
             if not math.isclose(cls.create(epsilon, r, d).edge, edge, rel_tol=1e-9):
                 raise ValueError(f"edge {edge!r} is not the min-max edge")
@@ -96,7 +95,7 @@ class GridSpec:
         except OverflowError:
             pairs = 0
         if pairs < 1 or not math.isclose(
-            cls.create(epsilon, r, d, spec.p, m_norm, pairs).edge, edge, rel_tol=1e-9
+            cls.create(epsilon, r, d, spec.p, pairs).edge, edge, rel_tol=1e-9
         ):
             raise ValueError(f"edge {edge!r} matches no pair bound")
         return dataclasses.replace(spec, pairs=pairs)

@@ -130,6 +130,9 @@ class CurveIndex:
                 raise ValueError("the asymmetric mode is defined for the min-max metric only")
             if self.k is None or self.k < 1:
                 raise ValueError("the asymmetric mode requires k >= 1")
+            if self.query_lengths is not None:
+                raise ValueError("query_lengths is not for the asymmetric mode, which "
+                                 "answers length-k queries only")
         elif self.k is not None:
             raise ValueError(f"k is for the asymmetric mode only, not mode {self.mode!r}")
         if self.query_lengths is not None:
@@ -195,9 +198,7 @@ class CurveIndex:
     def _grid_for(self, L, longest, d, p):
         """Grid for length-L queries over inputs of length at most ``longest``."""
         return gridmod.GridSpec.create(
-            self.epsilon, self.r, d, p, m_norm=L,
-            pairs=geometry.max_non_redundant_pairs(longest, L),
-        )
+            self.epsilon, self.r, d, p, pairs=geometry.max_non_redundant_pairs(longest, L))
 
     def _simplify(self, curves):
         """Split ``curves`` into those that store keys and those that do not.
@@ -492,8 +493,7 @@ class CurveIndex:
         dicts = {}
         for h, dct, _ in blocks:
             try:
-                grids[h.out_len] = gridmod.GridSpec.from_edge(
-                    h.edge, h.epsilon, h.r, h.d, h.p, m_norm=h.out_len)
+                grids[h.out_len] = gridmod.GridSpec.from_edge(h.edge, h.epsilon, h.r, h.d, h.p)
             except ValueError as exc:
                 raise CorruptFile(f"block for length {h.out_len}: {exc}") from exc
             dicts[h.out_len] = dct

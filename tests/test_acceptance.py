@@ -243,7 +243,7 @@ def test_criterion_03_candidate_sets_equal_brute_force():
         m = int(rng.integers(1, 4))
         out_len = int(rng.integers(1, 4))
         p = (math.inf, 1.0, 2.0)[checked % 3]
-        g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=d, m_norm=out_len, p=p)
+        g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=d, p=p, pairs=2 * out_len)
         anchor = Curve(f"a{checked}", rng.uniform(-1.5, 1.5, size=(m, d)))
         radius = float(rng.uniform(0.4, 1.5))
         pool = candidates.vertex_pool(anchor, radius, g)
@@ -296,7 +296,7 @@ def test_criterion_06_grid_bounds():
     for _ in range(20):
         d = int(rng.integers(1, 4))
         g = grid.GridSpec(edge=float(rng.uniform(0.3, 1.0)), epsilon=1.0, r=1.0,
-                          d=d, m_norm=1, p=math.inf)
+                          d=d, p=math.inf)
         center = rng.uniform(-2, 2, size=d)
         radius = float(rng.uniform(0, 3))
         n_pts = len(grid.grid_points_in_ball(center, radius, g))
@@ -306,7 +306,7 @@ def test_criterion_06_grid_bounds():
             count_ok = False
     snap_ok = True
     for d in (1, 2, 3):
-        g = grid.GridSpec(edge=0.37, epsilon=1.0, r=1.0, d=d, m_norm=1, p=math.inf)
+        g = grid.GridSpec(edge=0.37, epsilon=1.0, r=1.0, d=d, p=math.inf)
         bound = g.edge * math.sqrt(d) / 2
         pts = rng.uniform(-50, 50, size=(10_000, d))
         for x in pts:
@@ -363,12 +363,13 @@ def test_criterion_09_backend_equivalence_and_persistence(tmp_path):
         b = dictionary.make_dictionary("trie", mode=mode, out_len=2, d=2)
         for i in range(5_000):
             key = pack(rng.integers(-4, 5, size=(2, 2)))
-            if mode == "count":
-                if a.increment(key) != b.increment(key):
-                    agree = False
-            else:
-                if a.insert_first_wins(key, f"c{i}") != b.insert_first_wins(key, f"c{i}"):
-                    agree = False
+            for dct in (a, b):
+                if mode == "count":
+                    dct.increment_all((key,))
+                else:
+                    dct.insert_all_first_wins((key,), f"c{i}")
+            if (a.lookup(key), len(a)) != (b.lookup(key), len(b)):
+                agree = False
             probe = pack(rng.integers(-4, 5, size=(2, 2)))
             if a.lookup(probe) != b.lookup(probe):
                 agree = False

@@ -15,7 +15,7 @@ Curve = geometry.Curve
 
 
 def make_grid(edge, d=1, p=math.inf, epsilon=1.0):
-    return grid.GridSpec(edge=edge, epsilon=epsilon, r=1.0, d=d, m_norm=1, p=p)
+    return grid.GridSpec(edge=edge, epsilon=epsilon, r=1.0, d=d, p=p)
 
 
 def request(anchor, out_len, radius, g, **kw):
@@ -59,7 +59,7 @@ def test_chunks_are_views_that_join_to_the_rows(p, chunk, monkeypatch):
     last full, as views of ``rows`` that, joined, are ``rows``; the keys
     are those of the rows, in order. A set with no key has no chunk."""
     monkeypatch.setattr(candidates, "_CHUNK", chunk)
-    g = grid.GridSpec.create(epsilon=0.5, r=1.0, d=1, p=p, m_norm=2)
+    g = grid.GridSpec.create(epsilon=0.5, r=1.0, d=1, p=p, pairs=4)
     cands = candidates.enumerate_candidates(request(Curve("a", [[0.0], [0.7]]), 2, 1.25, g))
     chunks = list(cands.chunks())
     assert len(cands) == len(cands.rows) > 3 * chunk
@@ -92,7 +92,7 @@ def test_oracle_equivalence_random():
         m = int(rng.integers(1, 4))
         out_len = int(rng.integers(1, 4))
         p = (math.inf, 1.0, 2.0)[trial % 3]
-        g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=d, m_norm=out_len, p=p)
+        g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=d, p=p, pairs=2 * out_len)
         anchor = Curve(f"t{trial}", rng.uniform(-1.5, 1.5, size=(m, d)))
         radius = float(rng.uniform(0.3, 1.2))
         req = request(anchor, out_len, radius, g)
@@ -112,7 +112,7 @@ def test_enumerate_lp_matches_brute_force(p, out_len):
     as and longer than the anchor; d = 2 only where brute force is small."""
     rng = np.random.default_rng([35, int(p), out_len])
     for d in (1, 2) if out_len < 3 else (1,):
-        g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=d, p=p, m_norm=out_len,
+        g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=d, p=p,
                                  pairs=geometry.max_non_redundant_pairs(2, out_len))
         for trial in range(3):
             anchor = Curve(f"t{trial}", rng.uniform(-1, 1, size=(2, d)))
@@ -128,7 +128,7 @@ def test_enumerate_lp_in_many_steps(p, monkeypatch):
     """With a per-step bound far below the pool size, the first vertex and
     every extension take several steps; the key set stays the same."""
     anchor = Curve("a", [[0.0, 0.0], [0.8, -0.3], [1.2, 0.5]])
-    g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=2, p=p, m_norm=2,
+    g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=2, p=p,
                              pairs=geometry.max_non_redundant_pairs(3, 2))
     req = request(anchor, 2, 1.2, g)
     whole = candidates.enumerate_lp(req)
@@ -168,7 +168,7 @@ def test_the_last_vertex_is_tried_only_near_the_last_anchor_vertex(monkeypatch):
     spread anchor, trying it only where that cost leaves room in the budget
     builds under half the last-level rows that trying every vertex near
     some anchor vertex builds (624,656 rows for these 35,850 keys)."""
-    g = grid.GridSpec.create(epsilon=0.5, r=1.0, d=1, p=1.0, m_norm=4,
+    g = grid.GridSpec.create(epsilon=0.5, r=1.0, d=1, p=1.0,
                              pairs=geometry.max_non_redundant_pairs(4, 4))
     req = request(Curve("s", [[0.0], [4.0], [8.0], [12.0]]), 4, 1.25, g)
     rows = []
@@ -190,7 +190,7 @@ def test_every_key_respects_the_distance_condition():
     g = make_grid(0.5, d=2)
     anchor = Curve("a", rng.uniform(-1, 1, size=(3, 2)))
     for p in (math.inf, 1.0):
-        gp = grid.GridSpec.create(epsilon=1.0, r=1.0, d=2, m_norm=2, p=p)
+        gp = grid.GridSpec.create(epsilon=1.0, r=1.0, d=2, p=p, pairs=4)
         keys = candidates.enumerate_candidates(request(anchor, 2, 1.0, gp))
         for key in keys:
             pts = grid.key_to_points(key, gp)
@@ -201,7 +201,7 @@ def test_completeness_witness():
     """A snapped perturbation of the anchor always shows up in the output."""
     rng = np.random.default_rng(33)
     for p in (math.inf, 1.0, 2.0):
-        g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=2, m_norm=3, p=p)
+        g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=2, p=p, pairs=6)
         anchor = Curve("a", rng.uniform(-1, 1, size=(3, 2)))
         keys = set(candidates.enumerate_candidates(request(anchor, 3, 1.0, g)))
         for _ in range(10):
@@ -215,7 +215,7 @@ def test_halving_epsilon_grows_the_set():
     anchor = Curve("a", [[0.0], [2.0]])
     sizes = []
     for eps in (1.0, 0.5, 0.25):
-        g = grid.GridSpec.create(epsilon=eps, r=1.0, d=1, m_norm=2, p=math.inf)
+        g = grid.GridSpec.create(epsilon=eps, r=1.0, d=1, p=math.inf)
         req = request(anchor, 2, (1 + eps / 2) * 1.0, g)
         sizes.append(len(candidates.enumerate_dfd(req)))
     assert sizes[0] < sizes[1] < sizes[2]
@@ -224,14 +224,14 @@ def test_halving_epsilon_grows_the_set():
 def test_determinism():
     rng = np.random.default_rng(34)
     anchor = Curve("a", rng.uniform(-1, 1, size=(3, 2)))
-    g = grid.GridSpec.create(epsilon=0.5, r=1.0, d=2, m_norm=3, p=math.inf)
+    g = grid.GridSpec.create(epsilon=0.5, r=1.0, d=2, p=math.inf)
     req = request(anchor, 3, 1.0, g)
     keys = list(candidates.enumerate_dfd(req))
     assert keys and keys == list(candidates.enumerate_dfd(req))
 
 
 def test_capacity_guard_names_the_anchor():
-    g = grid.GridSpec.create(epsilon=0.25, r=1.0, d=2, m_norm=4, p=math.inf)
+    g = grid.GridSpec.create(epsilon=0.25, r=1.0, d=2, p=math.inf)
     anchor = Curve("huge", np.zeros((4, 2)))
     with pytest.raises(CapacityExceeded) as exc:
         candidates.enumerate_dfd(request(anchor, 4, 1.125, g, max_candidates=100))
@@ -253,7 +253,7 @@ WIGGLE = [[0.03 * i, 0.05 * (i % 2)] for i in range(12)]
 def test_capacity_guard_at_its_boundary(p, points, step_pairs, monkeypatch):
     if step_pairs is not None:
         monkeypatch.setattr(candidates, "_STEP_PAIRS", step_pairs)
-    g = grid.GridSpec.create(epsilon=0.5, r=1.0, d=2, p=p, m_norm=2)
+    g = grid.GridSpec.create(epsilon=0.5, r=1.0, d=2, p=p, pairs=4)
     anchor = Curve("edge", points)
     keys = candidates.enumerate_candidates(request(anchor, 2, 1.25, g))
     n = len(keys)
@@ -287,7 +287,7 @@ def test_a_hopeless_anchor_raises_in_bounded_memory():
     m, eps, limit = 4, 0.5, 5_000
     radius = 1 + eps / 2
     anchor = Curve("hopeless", [[0.0, 0.0], [1.0, 0.5], [2.0, -0.5], [3.0, 0.0]])
-    g = grid.GridSpec.create(epsilon=eps, r=1.0, d=2, p=1.0, m_norm=m,
+    g = grid.GridSpec.create(epsilon=eps, r=1.0, d=2, p=1.0,
                              pairs=geometry.max_non_redundant_pairs(m, m))
     assert oracle.key_count_lower_bound(anchor.points, m, radius, g.edge, 1.0) > 10**9
     pool = len(candidates.vertex_pool(anchor, radius, g))
@@ -317,7 +317,7 @@ def test_a_hopeless_min_max_anchor_raises_before_building_keys():
     m, eps, limit = 6, 0.25, 10**6
     radius = 1 + eps / 2
     anchor = Curve("hopeless", [[0.3 * i, 0.2 * (i % 2)] for i in range(m)])
-    g = grid.GridSpec.create(epsilon=eps, r=1.0, d=2, m_norm=m)
+    g = grid.GridSpec.create(epsilon=eps, r=1.0, d=2)
     bound = oracle.key_count_lower_bound(anchor.points, m, radius, g.edge, math.inf)
     assert bound > 10**12
     keys_size = limit * (sys.getsizeof((None,) * m) + 8)
@@ -338,7 +338,7 @@ def test_a_long_min_max_anchor_matches_brute_force():
     """70 anchor vertices: a closeness mask needs more than 64 bits."""
     rng = np.random.default_rng(36)
     anchor = Curve("long", rng.uniform(-1, 1, size=(70, 1)))
-    g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=1, m_norm=2)
+    g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=1)
     keys = candidates.enumerate_dfd(request(anchor, 2, 1.2, g))
     pool = candidates.vertex_pool(anchor, 1.2, g)
     expect = oracle.brute_candidates(anchor, pool, 2, 1.2, math.inf, g)
@@ -349,7 +349,7 @@ def test_a_long_min_max_anchor_matches_brute_force():
 def test_returned_keys_are_held_by_the_caller_only(p):
     """No reference cycle inside the enumerator keeps its key list alive
     once the caller drops it."""
-    g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=1, p=p, m_norm=2)
+    g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=1, p=p, pairs=4)
     req = request(Curve("a", [[0.0], [1.0]]), 2, 1.5, g)
     gc.disable()
     try:

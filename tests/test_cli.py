@@ -217,6 +217,9 @@ def test_k_outside_the_asymmetric_mode_is_a_usage_error(tmp_path, capsys, comman
     (["--lengths", "0"], "error: query lengths must be >= 1"),
     (["--metric", "p=0.5"], "error: metric exponent must be >= 1, got 0.5"),
     (["--lengths"], "error: at least one query length is required"),
+    # --k selects the asymmetric mode, whose only query length is k
+    (["--k", "2", "--lengths", "3"],
+     "error: query_lengths is not for the asymmetric mode, which answers length-k queries only"),
 ])
 def test_bad_lengths_and_metrics_are_usage_errors(tmp_path, capsys, flags, error):
     inp = curve_file(tmp_path, [{"id": "a", "points": [[0.0], [1.0]]}])

@@ -26,38 +26,39 @@ K3 = pack(((0,), (-2,)))
 @pytest.mark.parametrize("backend", ["hash", "trie"])
 def test_first_wins(backend):
     dct = make_dictionary(backend, out_len=2, d=1)
-    assert dct.insert_first_wins(K1, "A") is True
-    assert dct.lookup(K1) == "A"
-    assert dct.insert_first_wins(K1, "B") is False
-    assert dct.lookup(K1) == "A"
-    assert dct.insert_first_wins(K2, "B") is True
-    assert len(dct) == 2
+    dct.insert_all_first_wins((K1,), "A")
+    assert (dct.lookup(K1), len(dct)) == ("A", 1)
+    dct.insert_all_first_wins((K1,), "B")
+    assert (dct.lookup(K1), len(dct)) == ("A", 1)
+    dct.insert_all_first_wins((K2,), "B")
+    assert (dct.lookup(K2), len(dct)) == ("B", 2)
 
 
 @pytest.mark.parametrize("backend", ["hash", "trie"])
 def test_increment(backend):
     dct = make_dictionary(backend, mode="count", out_len=2, d=1)
-    assert dct.increment(K1) == 1
-    assert dct.increment(K1) == 2
-    assert dct.increment(K2) == 1
-    assert dct.lookup(K2) == 1
+    for key, count, size in ((K1, 1, 1), (K1, 2, 1), (K2, 1, 2)):
+        dct.increment_all((key,))
+        assert (dct.lookup(key), len(dct)) == (count, size)
     assert dct.lookup(K3) is None
 
 
 def test_mode_mismatch():
     dct = make_dictionary("hash", out_len=2, d=1)
     with pytest.raises(ModeMismatch):
-        dct.increment(K1)
+        dct.increment_all((K1,))
     cdct = make_dictionary("trie", mode="count", out_len=2, d=1)
     with pytest.raises(ModeMismatch):
-        cdct.insert_first_wins(K1, "A")
+        cdct.insert_all_first_wins((K1,), "A")
+    assert len(dct) == len(cdct) == 0
 
 
 def test_key_length_enforced():
     dct = make_dictionary("hash", out_len=2, d=1)
-    dct.insert_first_wins(K1, "A")
+    dct.insert_all_first_wins((K1,), "A")
     with pytest.raises(ValueError):
-        dct.insert_first_wins(pack(((0,),)), "B")
+        dct.insert_all_first_wins((pack(((0,),)),), "B")
+    assert list(dct.items()) == [(K1, "A")]
 
 
 def test_backends_observationally_equivalent():
@@ -68,10 +69,12 @@ def test_backends_observationally_equivalent():
         b = make_dictionary("trie", mode=mode, out_len=2, d=2)
         keys = [pack(rng.integers(-3, 4, size=(2, 2))) for _ in range(400)]
         for i, key in enumerate(keys):
-            if mode == "count":
-                assert a.increment(key) == b.increment(key)
-            else:
-                assert a.insert_first_wins(key, f"c{i}") == b.insert_first_wins(key, f"c{i}")
+            for dct in (a, b):
+                if mode == "count":
+                    dct.increment_all((key,))
+                else:
+                    dct.insert_all_first_wins((key,), f"c{i}")
+            assert (a.lookup(key), len(a)) == (b.lookup(key), len(b))
         assert len(a) == len(b)
         for key in keys:
             assert a.lookup(key) == b.lookup(key)
@@ -87,21 +90,22 @@ def test_batches_equal_one_key_at_a_time(backend):
         for i, part in enumerate((keys[:30], keys[30:])):
             if mode == "count":
                 for key in part:
-                    one.increment(key)
+                    one.increment_all((key,))
                 batch.increment_all(part)
             else:
                 for key in part:
-                    one.insert_first_wins(key, f"c{i}")
+                    one.insert_all_first_wins((key,), f"c{i}")
                 batch.insert_all_first_wins(part, f"c{i}")
         assert list(batch.items()) == list(one.items())
         assert (batch.out_len, batch.d) == (2, 1)
     counted = make_dictionary(backend, mode="count", out_len=2, d=1)
     counted.increment_all(keys)
     for key in keys:
-        counted.decrement(key)
+        counted.decrement_all((key,))
     assert len(counted) == 0
     with pytest.raises(KeyError):
-        counted.decrement(keys[0])
+        counted.decrement_all((keys[0],))
+    assert len(counted) == 0
     if backend == "trie":
         assert counted.node_count == 1
 
@@ -151,7 +155,7 @@ def test_trie_node_count_bound():
     stored = set()
     for i in range(300):
         key = pack(rng.integers(-2, 3, size=(3, 2)))
-        dct.insert_first_wins(key, f"c{i}")
+        dct.insert_all_first_wins((key,), f"c{i}")
         stored.add(key)
     # root excluded: every stored key contributes at most out_len nodes
     assert dct.node_count - 1 <= 3 * len(stored)
@@ -160,29 +164,30 @@ def test_trie_node_count_bound():
 def test_trie_iteration_is_lexicographic():
     dct = make_dictionary("trie", out_len=2, d=1)
     for i, key in enumerate([K2, K3, K1]):
-        dct.insert_first_wins(key, f"c{i}")
+        dct.insert_all_first_wins((key,), f"c{i}")
     keys = [k for k, _ in dct.items()]
     assert keys == sorted(keys, key=lambda key: unpack(key, 1))
 
 
 def test_trie_remove_unlinks_branches():
     dct = make_dictionary("trie", out_len=2, d=1)
-    dct.insert_first_wins(K1, "A")
-    dct.insert_first_wins(K2, "B")
+    dct.insert_all_first_wins((K1,), "A")
+    dct.insert_all_first_wins((K2,), "B")
     before = dct.node_count
-    dct.remove(K2)
+    assert dct.release((K2,), dct.lookup(K2)) == {K2}
     assert dct.lookup(K2) is None
     assert dct.lookup(K1) == "A"
     assert dct.node_count < before
-    with pytest.raises(KeyError):
-        dct.remove(K2)
+    after = dct.node_count
+    assert dct.release((K2,), "B") == set()
+    assert (list(dct.items()), dct.node_count) == ([(K1, "A")], after)
 
 
 @pytest.mark.parametrize("backend", ["hash", "trie"])
 def test_save_load_round_trip(backend, tmp_path):
     dct = make_dictionary(backend, out_len=2, d=1)
     for i, key in enumerate([K1, K2, K3]):
-        dct.insert_first_wins(key, f"curve-{i}")
+        dct.insert_all_first_wins((key,), f"curve-{i}")
     path = tmp_path / "d.annc"
     dictionary.save(path, header(), dct)
     hdr, loaded = dictionary.load(path, backend=backend)
@@ -200,9 +205,9 @@ def test_save_load_empty(tmp_path):
 
 def test_count_mode_round_trip(tmp_path):
     dct = make_dictionary("hash", mode="count", out_len=2, d=1)
-    dct.increment(K1)
-    dct.increment(K1)
-    dct.increment(K3)
+    dct.increment_all((K1,))
+    dct.increment_all((K1,))
+    dct.increment_all((K3,))
     path = tmp_path / "c.annc"
     dictionary.save(path, header(mode="count"), dct)
     _, loaded = dictionary.load(path)
@@ -219,7 +224,7 @@ def test_wrong_magic_rejected(tmp_path):
 
 def test_truncated_file_rejected(tmp_path):
     dct = make_dictionary("hash", out_len=2, d=1)
-    dct.insert_first_wins(K1, "A")
+    dct.insert_all_first_wins((K1,), "A")
     path = tmp_path / "t.annc"
     dictionary.save(path, header(), dct)
     data = path.read_bytes()
@@ -232,8 +237,8 @@ def test_serialized_bytes_identical_across_backends():
     a = make_dictionary("hash", out_len=2, d=1)
     b = make_dictionary("trie", out_len=2, d=1)
     for i, key in enumerate([K3, K1, K2]):
-        a.insert_first_wins(key, f"c{i}")
-        b.insert_first_wins(key, f"c{i}")
+        a.insert_all_first_wins((key,), f"c{i}")
+        b.insert_all_first_wins((key,), f"c{i}")
     fa, fb = io.BytesIO(), io.BytesIO()
     dictionary.write_block(fa, header(), a)
     dictionary.write_block(fb, header(), b)
@@ -295,9 +300,9 @@ def test_blocks_round_trip_a_chunk_at_a_time(backend, chunk, monkeypatch):
         for key in sorted(keys, key=hash):
             if mode == "count":
                 for _ in range(1 + int.from_bytes(key[-8:], "little", signed=True) % 3):
-                    built.increment(key)
+                    built.increment_all((key,))
             else:
-                built.insert_first_wins(key, names[int(rng.integers(len(names)))])
+                built.insert_all_first_wins((key,), names[int(rng.integers(len(names)))])
         buf = io.BytesIO()
         dictionary.write_block(buf, header(mode=mode, out_len=3, d=2), built)
         buf.seek(0)
@@ -448,13 +453,19 @@ def test_items_follow_the_integer_order_of_the_coordinates(mode):
         if model and rng.random() < 0.3:
             key = list(model)[int(rng.integers(len(model)))]
             for dct in (hashed, tree):
-                dct.decrement(key) if mode == "count" else dct.remove(key)
+                if mode == "count":
+                    dct.decrement_all((key,))
+                else:
+                    dct.release((key,), dct.lookup(key))
             model[key] = model[key] - 1 if mode == "count" else 0
             if not model[key]:
                 del model[key]
             continue
         for dct in (hashed, tree):
-            dct.increment(key) if mode == "count" else dct.insert_first_wins(key, f"c{step}")
+            if mode == "count":
+                dct.increment_all((key,))
+            else:
+                dct.insert_all_first_wins((key,), f"c{step}")
         model[key] = model.get(key, 0) + 1 if mode == "count" else model.get(key, f"c{step}")
     want = sorted(model.items(), key=lambda entry: unpack(entry[0], 2))
     assert list(hashed.items()) == list(tree.items()) == want
@@ -499,9 +510,9 @@ def test_blocks_list_extreme_keys_in_integer_order(mode, out_len, d, source):
             key = keys[i]
             if mode == "count":
                 for _ in range(model[key]):
-                    dct.increment(key)
+                    dct.increment_all((key,))
             else:
-                dct.insert_first_wins(key, model[key])
+                dct.insert_all_first_wins((key,), model[key])
         buf = io.BytesIO()
         dictionary.write_block(buf, hdr, dct)
         blocks.append(buf.getvalue())
@@ -529,10 +540,13 @@ def prefixes(keys, d):
 @pytest.mark.parametrize("out_len", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["nn", "count"])
 def test_random_operations_keep_the_backends_equal(mode, out_len, d):
-    """Random single-key and batch operations on both backends. After each
-    one the entries and the operation's result agree, the trie has one node per distinct key prefix
-    (plus its root), and a decrement or remove of an absent key raises
-    KeyError without changing either dictionary."""
+    """Random batches of one key and of several on both backends. A
+    one-key ``remove`` is a release of the key by its holder (nn) or a
+    decrement as often as its count (count). After each batch the entries
+    and the batch's result agree, the trie has one node per distinct key
+    prefix (plus its root), and a batch that decrements an absent key
+    raises KeyError, or releases nothing, without changing either
+    dictionary."""
     rng = np.random.default_rng([45, out_len, d, mode == "count"])
     hashed, tree = (make_dictionary(b, mode=mode, out_len=out_len, d=d) for b in ("hash", "trie"))
 
@@ -561,10 +575,18 @@ def test_random_operations_keep_the_backends_equal(mode, out_len, d):
             else:
                 owner = f"c{step}"
             args = (batch, owner) if op in ("insert_all_first_wins", "release") else (batch,)
-        else:
+        else:  # a batch of one key
             key = stored[int(rng.integers(len(stored)))] if present else draw()
-            args = (key, f"c{step}") if op == "insert_first_wins" else (key,)
-        absent = op in ("decrement", "remove") and hashed.lookup(args[0]) is None
+            held = hashed.lookup(key)
+            if op == "insert_first_wins":
+                op, args = "insert_all_first_wins", ((key,), f"c{step}")
+            elif op == "remove" and mode == "nn":  # no entry is held by c{step}
+                op, args = "release", ((key,), held or f"c{step}")
+            elif op == "remove":
+                op, args = "decrement_all", ((key,) * (held or 1),)
+            else:
+                op, args = f"{op}_all", ((key,),)
+        absent = op == "decrement_all" and any(hashed.lookup(key) is None for key in args[0])
         before = list(hashed.items())
         results = []
         for dct in (hashed, tree):
@@ -573,10 +595,9 @@ def test_random_operations_keep_the_backends_equal(mode, out_len, d):
                     getattr(dct, op)(*args)
             else:
                 results.append(getattr(dct, op)(*args))
-        if absent:
+        if absent or results == [set(), set()]:
             assert list(hashed.items()) == before
-        else:
-            assert results[0] == results[1]
+        assert results[:1] == results[1:]
         assert list(tree.items()) == list(hashed.items())
         assert len(tree) == len(hashed) == len(list(hashed.items()))
         assert tree.node_count == 1 + len(prefixes((k for k, _ in tree.items()), d))
@@ -620,7 +641,7 @@ def test_release_is_a_lookup_then_remove_per_key(backend):
         released = set()
         for key in batch:
             if twin.lookup(key) == owner:
-                twin.remove(key)
+                assert twin.release((key,), owner) == {key}
                 released.add(key)
         want = {key for key in batch if model.get(key) == owner}
         for key in want:
@@ -639,7 +660,7 @@ def test_release_is_a_lookup_then_remove_per_key(backend):
     if backend == "trie":
         assert dct.node_count == 1
     counting = make_dictionary(backend, mode="count", out_len=3, d=2)
-    counting.increment(everything[0])
+    counting.increment_all(everything[:1])
     with pytest.raises(ModeMismatch):
         counting.release(everything[:1], "c0")
     assert list(counting.items()) == [(everything[0], 1)]
@@ -650,20 +671,30 @@ def test_lookups_of_keys_of_another_length_miss(backend):
     empty = make_dictionary(backend, out_len=2, d=1)
     assert empty.lookup(K1) is None
     assert make_dictionary(backend, out_len=2, d=1).lookup(K1) is None
-    dct = make_dictionary(backend, mode="count", out_len=2, d=1)
-    dct.increment(K1)
+    counted = make_dictionary(backend, mode="count", out_len=2, d=1)
+    counted.increment_all((K1,))
+    nn = make_dictionary(backend, out_len=2, d=1)
+    nn.insert_all_first_wins((K1,), "A")
     for key in (K1[:8], K1 + pack(((0,),)), b""):
-        assert dct.lookup(key) is None
-        for drop in (dct.decrement, dct.remove):
-            with pytest.raises(KeyError):
-                drop(key)
-    assert list(dct.items()) == [(K1, 1)]
+        assert counted.lookup(key) is None and nn.lookup(key) is None
+        # a batch checks its keys' shape before it changes anything
+        with pytest.raises(ValueError):
+            counted.decrement_all((key,))
+        with pytest.raises(ValueError):
+            nn.release((key,), "A")
+        assert list(counted.items()) == [(K1, 1)] and list(nn.items()) == [(K1, "A")]
+        assert len(counted) == len(nn) == 1
 
 
 @pytest.mark.parametrize("mode", ["nn", "count"])
 def test_a_key_of_the_wrong_length_changes_nothing(mode):
     dct = make_dictionary("trie", mode=mode, out_len=2, d=1)
-    insert = dct.increment if mode == "count" else lambda key: dct.insert_first_wins(key, "A")
+    if mode == "count":
+        def insert(key):
+            dct.increment_all((key,))
+    else:
+        def insert(key):
+            dct.insert_all_first_wins((key,), "A")
     insert(K1)
     for key in (K1[:8], K1 + pack(((0,),)), b""):
         with pytest.raises(ValueError):
@@ -778,27 +809,27 @@ def stored_set(rng, dct, pool, out_len):
 
 
 def apply_both(batch, single, model, op, cands, owner):
-    """``op`` on ``batch`` as one batch call, on ``single`` as one
-    single-key call per key of ``cands``, in order, and on ``model``, a
-    plain dict of the entries; asserts that the batch gives what the
-    single-key calls give, or raises KeyError at the same key."""
+    """``op`` on ``batch`` as one batch call, on ``single`` as one one-key
+    batch per key of ``cands``, in order, and on ``model``, a plain dict of
+    the entries; asserts that the batch gives what the one-key batches
+    give, or raises KeyError at the same key."""
     keys = list(cands)
     assert len(keys) == len(cands)
     if op == "insert":
         batch.insert_all_first_wins(cands, owner)
         for key in keys:
-            single.insert_first_wins(key, owner)
+            single.insert_all_first_wins((key,), owner)
             model.setdefault(key, owner)
     elif op == "increment":
         batch.increment_all(cands)
         for key in keys:
-            single.increment(key)
+            single.increment_all((key,))
             model[key] = model.get(key, 0) + 1
     elif op == "release":
         released = set()
         for key in keys:
             if single.lookup(key) == owner:
-                single.remove(key)
+                assert single.release((key,), owner) == {key}
                 released.add(key)
         assert batch.release(cands, owner) == released == {k for k in keys if model.get(k) == owner}
         for key in released:
@@ -809,7 +840,7 @@ def apply_both(batch, single, model, op, cands, owner):
             if key not in model:
                 absent = key
                 break
-            single.decrement(key)
+            single.decrement_all((key,))
             model[key] -= 1
             if not model[key]:
                 del model[key]
@@ -841,8 +872,8 @@ def test_batches_of_candidate_sets_equal_single_key_calls(backend, mode, out_len
     """Random candidate sets: runs of shared heads that come back later,
     repeated rows, and min-max layouts with empty class products. Each
     batch call leaves the entries, ``len`` and ``node_count`` that one
-    single-key call per key leaves; a release returns what the single-key
-    removes took, and a decrement raises KeyError at the same key. With
+    one-key batch per key leaves; a release returns what the one-key
+    releases took, and a decrement raises KeyError at the same key. With
     ``chunk`` = 2, runs span the chunks a batch reads the set in; with
     ``out_len`` = 1 the head is empty."""
     if chunk is not None:
@@ -874,13 +905,13 @@ def test_enumerated_sets_fold_as_single_keys(backend, mode, monkeypatch):
     """Sets made by the finite-p enumerator in steps of 3 pairs and by the
     min-max enumerator, read in chunks of 3 rows, where a finite-p head
     spans two chunks and the min-max set spans more than one, fold, and
-    then unfold, as one single-key call per key does."""
+    then unfold, as one one-key batch per key does."""
     monkeypatch.setattr(candidates, "_STEP_PAIRS", 3)
     monkeypatch.setattr(candidates, "_CHUNK", 3)
     rng = np.random.default_rng(50)
     sets = []
     for p in (1.0, float("inf")):
-        g = GridSpec.create(epsilon=0.5, r=1.0, d=1, p=p, m_norm=2)
+        g = GridSpec.create(epsilon=0.5, r=1.0, d=1, p=p, pairs=4)
         for i in range(3):
             anchor = Curve(f"a{i}", rng.uniform(-1, 1, size=(3, 1)))
             req = candidates.CandidateRequest(anchor=anchor, out_len=2, enum_radius=1.25, grid=g)

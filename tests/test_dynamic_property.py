@@ -2,11 +2,11 @@
 
 Random sequences of ``fit``, ``insert_curve``, ``delete_curve`` and
 ``save`` then ``load``, where each load switches backend, in every mode,
-for p in {inf, 1, 2}, d in {1, 2} and explicit query lengths that include
-1. After every step each answer is checked by brute force: a returned
-curve is live and within (1 + eps) r, no live curve within r is missed,
-and a count lies between the exact counts at r and at (1 + eps) r. At the
-end the saved bytes equal those of a fresh fit of the survivors in
+for p in {inf, 1, 1.5, 2, 3}, d in {1, 2} and explicit query lengths that
+include 1. After every step each answer is checked by brute force: a
+returned curve is live and within (1 + eps) r, no live curve within r is
+missed, and a count lies between the exact counts at r and at (1 + eps) r.
+At the end the saved bytes equal those of a fresh fit of the survivors in
 insertion order.
 """
 
@@ -37,6 +37,11 @@ CONFIGS = [
     ("count", 2.0, 2, [1, 2], 1.0),
     ("asym", math.inf, 1, 1, 1.0),
     ("asym", math.inf, 2, 2, 1.0),
+    # appended, so the configurations above keep their seeds
+    ("nn", 1.5, 2, [1, 2], 1.0),
+    ("nn", 3.0, 1, [1, 3], 1.0),
+    ("count", 1.5, 1, [1, 3], 1.0),
+    ("count", 3.0, 2, [1, 2], 1.0),
 ]
 
 R = 1.0

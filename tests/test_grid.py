@@ -9,40 +9,42 @@ from lattice_keys import pack
 
 
 def make_grid(edge, d=1, p=math.inf):
-    return grid.GridSpec(edge=edge, epsilon=1.0, r=1.0, d=d, m_norm=1, p=p)
+    return grid.GridSpec(edge=edge, epsilon=1.0, r=1.0, d=d, p=p)
 
 
 def test_edge_derivation_dfd():
-    g = grid.GridSpec.create(epsilon=0.5, r=2.0, d=4, m_norm=3, p=math.inf)
+    g = grid.GridSpec.create(epsilon=0.5, r=2.0, d=4, p=math.inf)
     assert g.edge == pytest.approx(0.5 * 2.0 / 2.0)
 
 
 def test_edge_derivation_finite_p():
-    g = grid.GridSpec.create(epsilon=0.5, r=2.0, d=4, m_norm=3, p=1.0)
+    g = grid.GridSpec.create(epsilon=0.5, r=2.0, d=4, p=1.0, pairs=6)
     assert g.edge == pytest.approx(0.5 * 2.0 / (6.0 * 2.0))
-    g2 = grid.GridSpec.create(epsilon=1.0, r=1.0, d=1, m_norm=2, p=2.0)
+    g2 = grid.GridSpec.create(epsilon=1.0, r=1.0, d=1, p=2.0, pairs=4)
     assert g2.edge == pytest.approx(1.0 / math.sqrt(4.0))
-    # an explicit pair bound replaces 2 * m_norm and leaves m_norm as given
-    g3 = grid.GridSpec.create(epsilon=0.5, r=2.0, d=4, m_norm=3, p=1.0, pairs=4)
+    g3 = grid.GridSpec.create(epsilon=0.5, r=2.0, d=4, p=1.0, pairs=4)
     assert g3.edge == pytest.approx(0.5 * 2.0 / (4.0 * 2.0))
-    assert (g3.m_norm, g3.pairs) == (3, 4)
-    g4 = grid.GridSpec.create(epsilon=1.0, r=1.0, d=1, m_norm=1, p=2.0, pairs=6)
+    assert g3.pairs == 4
+    g4 = grid.GridSpec.create(epsilon=1.0, r=1.0, d=1, p=2.0, pairs=6)
     assert g4.edge == pytest.approx(1.0 / math.sqrt(6.0))
     # the pair bound is recovered from a stored edge
-    assert grid.GridSpec.from_edge(g4.edge, 1.0, 1.0, 1, 2.0, m_norm=1) == g4
+    assert grid.GridSpec.from_edge(g4.edge, 1.0, 1.0, 1, 2.0) == g4
     with pytest.raises(ValueError):
-        grid.GridSpec.from_edge(0.45, 1.0, 1.0, 1, 2.0, m_norm=1)
+        grid.GridSpec.from_edge(0.45, 1.0, 1.0, 1, 2.0)
+    # the finite-p edge depends on the pair bound, which has no default
+    with pytest.raises(ValueError, match="pair bound"):
+        grid.GridSpec.create(epsilon=0.5, r=2.0, d=4, p=1.0)
 
 
 def test_a_min_max_edge_is_checked_too():
     """The min-max edge has no free parameter: from_edge accepts only the
     edge ``create`` derives, up to the relative tolerance of finite p."""
     g = grid.GridSpec.create(epsilon=0.5, r=2.0, d=3)
-    assert grid.GridSpec.from_edge(g.edge * (1 + 1e-12), 0.5, 2.0, 3, math.inf, m_norm=2).edge \
+    assert grid.GridSpec.from_edge(g.edge * (1 + 1e-12), 0.5, 2.0, 3, math.inf).edge \
         == g.edge * (1 + 1e-12)
     for edge in (g.edge * 10, g.edge / 2, g.edge * (1 + 1e-6)):
         with pytest.raises(ValueError, match="min-max"):
-            grid.GridSpec.from_edge(edge, 0.5, 2.0, 3, math.inf, m_norm=2)
+            grid.GridSpec.from_edge(edge, 0.5, 2.0, 3, math.inf)
 
 
 def test_snap_examples():
@@ -191,8 +193,7 @@ def test_snap_matches_the_reference_bit_for_bit(p):
     for d in range(1, 5):
         for m in range(1, 13):
             for eps, r in ((1.0, 1.0), (0.5, 0.7), (0.25, 3.0)):
-                g = grid.GridSpec.create(eps, r, d, p, m_norm=m,
-                                         pairs=None if p == math.inf else 2 * m + 1)
+                g = grid.GridSpec.create(eps, r, d, p, pairs=None if p == math.inf else 2 * m + 1)
                 pts = awkward_coordinates(rng, (m, d), g.edge)
                 want = reference_snap(pts, g)
                 assert grid.snap_curve(geometry.Curve("c", pts), g) == pack(want)

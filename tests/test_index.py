@@ -95,6 +95,9 @@ def test_param_validation():
     # no query length would build no dictionary, and no query could be answered
     with pytest.raises(ValueError, match="at least one query length is required"):
         CurveIndex(query_lengths=[]).fit([Curve("a", [[0.0]])])
+    # the asymmetric mode answers length-k queries only, and would ignore them
+    with pytest.raises(ValueError, match="query_lengths is not for the asymmetric mode"):
+        CurveIndex(mode="asym", k=2, query_lengths=[3]).fit([Curve("a", np.zeros((4, 1)))])
 
 
 @pytest.mark.parametrize("mode", ["nn", "count"])
@@ -262,8 +265,10 @@ def lattice_box(points, radius, edge):
 
 def check_equals_a_fresh_fit(idx, live):
     """Every block of ``idx`` equals that of a fresh fit over ``live``, the
-    surviving curves in insertion order."""
-    fresh = CurveIndex(**{**idx.get_params(), "query_lengths": sorted(idx.dicts_)}).fit(live)
+    surviving curves in insertion order. An asymmetric index has the one
+    length k, which it takes from its parameters."""
+    lengths = None if idx.mode == "asym" else sorted(idx.dicts_)
+    fresh = CurveIndex(**{**idx.get_params(), "query_lengths": lengths}).fit(live)
     assert sorted(fresh.dicts_) == sorted(idx.dicts_)
     for L, dct in idx.dicts_.items():
         assert list(dct.items()) == list(fresh.dicts_[L].items())
@@ -556,14 +561,13 @@ def test_save_load_round_trip(tmp_path):
 @pytest.mark.parametrize("backend", ["hash", "trie"])
 def test_a_loaded_index_has_the_fitted_grids(tmp_path, backend, params):
     """Every grid of a loaded index equals the one ``fit`` made for its
-    length, ``m_norm`` and the finite-p pair bound included."""
+    length, the finite-p pair bound included."""
     rng = np.random.default_rng(81)
     idx = CurveIndex(epsilon=1.0, r=1.0, backend=backend, **params).fit(dataset(rng, 4, 3, 1))
     path = tmp_path / "idx.annc"
     idx.save(path)
     loaded = CurveIndex.load(path, backend=backend)
     assert loaded.grids_ == idx.grids_
-    assert [g.m_norm for g in loaded.grids_.values()] == list(loaded.grids_)
 
 
 def test_load_with_param_expectations(tmp_path):
@@ -682,7 +686,7 @@ def test_load_rejects_a_grid_too_coarse_for_its_curves(tmp_path):
     path = tmp_path / "idx.annc"
     idx.save(path)
     assert CurveIndex.load(path).grids_[1].pairs == 6
-    idx.grids_[1] = grid.GridSpec.create(epsilon=1.0, r=1.0, d=1, p=1.0, m_norm=1)
+    idx.grids_[1] = grid.GridSpec.create(epsilon=1.0, r=1.0, d=1, p=1.0, pairs=2)
     idx.save(path)
     with pytest.raises(FormatError):
         CurveIndex.load(path)
@@ -899,7 +903,11 @@ def test_items_streams_its_entries_a_chunk_at_a_time(mode, backend):
     assert total == sum(size(payload) for _, payload in want)
     assert peak < bound, (peak, bound)
     entries = dct.items()
-    dct.remove(want[0][0])
+    key, payload = want[0]
+    if mode == "count":
+        dct.decrement_all((key,) * payload)
+    else:
+        dct.release((key,), payload)
     assert list(entries) == want
     assert list(dct.items()) == want[1:]
     empty = dictionary.make_dictionary(backend, dct.mode, out_len=dct.out_len, d=dct.d)

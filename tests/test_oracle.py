@@ -44,7 +44,7 @@ def test_count_within():
 
 
 def test_brute_candidates_examples():
-    g = grid.GridSpec(edge=1.0, epsilon=1.0, r=1.0, d=1, m_norm=1, p=math.inf)
+    g = grid.GridSpec(edge=1.0, epsilon=1.0, r=1.0, d=1, p=math.inf)
     a = Curve("a", [[0.0]])
     pool = [(-1,), (0,), (1,)]
     assert oracle.brute_candidates(a, pool, 1, 1.5, math.inf, g) == {((-1,),), ((0,),), ((1,),)}
@@ -57,7 +57,7 @@ def test_brute_candidates_examples():
 
 
 def test_brute_candidates_guard():
-    g = grid.GridSpec(edge=1.0, epsilon=1.0, r=1.0, d=1, m_norm=1, p=math.inf)
+    g = grid.GridSpec(edge=1.0, epsilon=1.0, r=1.0, d=1, p=math.inf)
     pool = [(i,) for i in range(40)]
     with pytest.raises(CapacityExceeded):
         oracle.brute_candidates(Curve("a", [[0.0]]), pool, 5, 1.0, math.inf, g)
@@ -83,7 +83,7 @@ def test_key_count_lower_bound_never_exceeds_brute_force():
         d = int(rng.integers(1, 3))
         m = int(rng.integers(1, 4))
         out_len = m if trial % 2 == 0 else int(rng.integers(1, m + 1))
-        g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=d, m_norm=out_len, p=p)
+        g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=d, p=p, pairs=2 * out_len)
         anchor = rng.uniform(-1.5, 1.5, size=(m, d))
         radius = float(rng.uniform(0.4, 1.5))
         pool = candidates.vertex_pool(anchor, radius, g)
