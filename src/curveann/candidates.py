@@ -118,11 +118,6 @@ class CandidateSet:
         return itertools.chain.from_iterable(gridmod.keys_of(self.pool[rows])
                                              for rows in self.chunks())
 
-    def where(self, keep):
-        """The set of the keys for which ``keep(key)`` is true, in order."""
-        kept = np.fromiter(map(keep, self), bool, len(self))
-        return CandidateSet(self.pool, self.rows[kept], self.out_len)
-
 
 def vertex_pool(anchor, radius, grid):
     """Deduplicated union of the grid balls around the anchor's vertices."""

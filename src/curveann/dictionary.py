@@ -17,7 +17,9 @@ Each batch call (``insert_all_first_wins``, ``increment_all``,
 ``decrement_all``, ``release``) takes a ``candidates.CandidateSet``, the
 keys of one candidate request as one array of rows of pool indices, or an
 iterable of keys, which ``_DictBase._batch`` makes into the set of its
-rows. Both backends fold candidate sets only. The hash map folds a set's
+rows. ``insert_all_first_wins`` returns how many keys it stored and
+``release`` how many it removed; neither copies a key it stores or frees.
+Both backends fold candidate sets only. The hash map folds a set's
 key bytes, made a chunk of rows at a time. The tree folds the rows by
 head: a run of rows whose first L - 1 indices are equal shares one head,
 made as bytes once, and each pool vertex is made as bytes once per set, so
@@ -73,6 +75,8 @@ _PROBE = 1 << 6  # entries of an nn/asym block a run's first probe views
 _LONGEST_KEY = (1 << 31) - 1
 # the most distinct values one int64 sort key of ``_sort_key`` takes
 _SORT_SPAN = 1 << 62
+# the payload ``release`` finds at an absent key: equal to no curve id
+_ABSENT = object()
 
 
 def _ranked(values):
@@ -169,9 +173,10 @@ class _DictBase:
 
     def insert_all_first_wins(self, keys, curve_id):
         """Store ``curve_id`` at each key of a batch that is absent; a
-        stored payload is never overwritten."""
+        stored payload is never overwritten. Returns how many keys it
+        stored."""
         self._require(False, "insert_all_first_wins")
-        self._insert_all(self._batch(keys), curve_id)
+        return self._insert_all(self._batch(keys), curve_id)
 
     def increment_all(self, keys):
         """Counting mode: add 1 to the count of each key of a batch, an
@@ -188,8 +193,8 @@ class _DictBase:
 
     def release(self, keys, curve_id):
         """Remove the keys of a batch whose payload is ``curve_id``, in one
-        pass over the batch; returns them as a set of key bytes. Keys that
-        are absent or held by another curve are left as they are."""
+        pass over the batch; returns how many it removed. Keys that are
+        absent or held by another curve are left as they are."""
         self._require(False, "release")
         return self._release(self._batch(keys), curve_id)
 
@@ -228,9 +233,11 @@ class HashedDictionary(_DictBase):
         return self._map.get(key)
 
     def _insert_all(self, cands, payload):
-        put = self._map.setdefault
+        stored, size = self._map, len(self._map)
+        put = stored.setdefault
         for key in cands:
             put(key, payload)
+        return len(stored) - size
 
     def _increment_all(self, cands):
         stored = self._map
@@ -250,15 +257,12 @@ class HashedDictionary(_DictBase):
     def _release(self, cands, curve_id):
         # each key is looked up and deleted in one step, while its slot is
         # still in cache
-        stored = self._map
+        stored, size = self._map, len(self._map)
         get = stored.get
-        released = set()
-        add = released.add
         for key in cands:
-            if get(key) == curve_id:
+            if get(key, _ABSENT) == curve_id:
                 del stored[key]
-                add(key)
-        return released
+        return size - len(stored)
 
     def _append_sorted(self, rows, payloads):
         """Store a chunk of a block, whose keys are distinct and absent."""
@@ -333,6 +337,7 @@ class PrefixTreeDictionary(_DictBase):
                 leaf[last] = payload
                 added += 1
         self._size += added
+        return added
 
     def _increment_all(self, cands):
         added = 0
@@ -376,16 +381,16 @@ class PrefixTreeDictionary(_DictBase):
                     del root[head]
 
     def _release(self, cands, curve_id):
-        root, released = self._root, set()
+        root, removed = self._root, 0
         for head, leaf, lasts in self._run_leaves(cands):
             for last in lasts:
-                if leaf.get(last) == curve_id:
+                if leaf.get(last, _ABSENT) == curve_id:
                     del leaf[last]
-                    released.add(head + last)
+                    removed += 1
                     if not leaf:
                         del root[head]
-        self._size -= len(released)
-        return released
+        self._size -= removed
+        return removed
 
     def _append_sorted(self, rows, payloads):
         """Store a chunk of a block, whose keys are distinct and absent.

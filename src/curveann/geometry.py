@@ -40,6 +40,8 @@ class Curve:
     points: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise TypeError(f"a curve id must be a str, not {type(self.id).__name__}")
         pts = as_points(self.points)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)

@@ -234,51 +234,48 @@ class CurveIndex:
         return candmod.enumerate_candidates(req)
 
     def _fold(self, dct, curve_id, keys):
+        """Fold a candidate set into ``dct``; in nn/asym mode, how many keys it stored."""
         if self.mode == "count":
-            dct.increment_all(keys)
-        else:
-            dct.insert_all_first_wins(keys, curve_id)
+            return dct.increment_all(keys)
+        return dct.insert_all_first_wins(keys, curve_id)
 
     def _unfold(self, L, curve):
         """Undo ``_fold`` of ``curve``'s length-L candidate set.
 
-        A counted key loses one count. A key whose payload is ``curve`` is
-        an orphan. One pass over the candidate set releases the orphans:
-        each is removed where it is found. Each then passes, through
-        ``insert_all_first_wins``, to the first curve after ``curve`` in
-        insertion order whose candidate set holds it (payloads are
-        first-wins, so no earlier curve holds it); it is absent by then, so
-        first-wins stores the heir. An orphan no later curve holds stays
-        removed. Every alignment pairs first with first and last with last,
-        and no pair costs more than the whole alignment, so a key's ends lie
-        within (1 + eps/2) r of the ends of each curve that holds it. A curve
-        can thus share a key with ``curve`` only if its first vertex and its
-        last vertex are each within twice that of ``curve``'s.
-
-        Releasing before the hand-off leaves no half-deleted state: a later
-        curve's enumeration cannot raise ``CapacityExceeded``, as it already
-        ran under the same guard (fitted index) or a stricter one (``load``
-        resets the guard to its default, 10^8).
+        A counted key loses one count. Otherwise one pass over the set
+        releases the keys ``curve`` holds, and the later curves that may
+        share them fold their whole sets again, in insertion order, until as
+        many keys were stored as were released. The index equals a fresh fit
+        of its curves in insertion order (payloads are first-wins), so after
+        the release a later curve's set misses released keys only: its fold
+        stores exactly those, and each released key goes to the first later
+        curve that holds it, or stays removed. Every alignment pairs first
+        with first and last with last, and no pair costs more than the whole
+        alignment, so a key's ends lie within (1 + eps/2) r of the ends of
+        each curve that holds it: a curve can share a key with ``curve`` only
+        if its first and last vertices are each within twice that of
+        ``curve``'s.
+        No re-fold leaves a delete half done: it cannot raise
+        ``CapacityExceeded``, as the curve's enumeration already ran under
+        this guard, or a stricter one (``load`` resets it to 10^8).
         """
         dct, grid = self.dicts_[L], self.grids_[L]
         keys = self._candidates(curve, L, grid)
         if self.mode == "count":
             dct.decrement_all(keys)
             return
-        orphans = dct.release(keys, curve.id)
+        left = dct.release(keys, curve.id)
         # the slack keeps rounding from dropping a curve at the bound
         reach = 2 * (1 + self.epsilon / 2) * self.r * (1 + 1e-9)
         skipped = set(self.stats_["skipped"])
         for cid in islice(dropwhile(curve.id.__ne__, self.registry_), 1, None):
-            if not orphans:
+            if not left:
                 break
             c = self.registry_[cid]
             if (cid in skipped or math.dist(c.points[0], curve.points[0]) > reach
                     or math.dist(c.points[-1], curve.points[-1]) > reach):
                 continue
-            taken = self._candidates(c, L, grid).where(orphans.__contains__)
-            dct.insert_all_first_wins(taken, cid)
-            orphans.difference_update(taken)
+            left -= self._fold(dct, cid, self._candidates(c, L, grid))
 
     # -- queries ------------------------------------------------------------
 
@@ -378,10 +375,10 @@ class CurveIndex:
 
     def delete_curve(self, curve_id):
         """Remove one curve. In the near-neighbor modes the keys it owned are
-        released in one pass over its candidate set; then each passes to the
-        first later curve that holds it, or stays removed. Only the later
-        curves whose endpoints lie within 2 (1 + eps/2) r of its own are
-        enumerated (see ``_unfold``)."""
+        released in one pass over its candidate set; then the later curves
+        whose endpoints lie within 2 (1 + eps/2) r of its own fold their sets
+        again, until each released key is stored again by the first of them
+        that holds it, or none is left (see ``_unfold``)."""
         self._check_fitted()
         curve = self.registry_.get(curve_id)
         if curve is None:

@@ -17,6 +17,7 @@ bound exceeds the guard but that builds anyway is a violation.
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import zlib
@@ -399,17 +400,22 @@ def test_criterion_10_deterministic_cli_runs(tmp_path):
             pts = rng.uniform(-8, 8, size=(3, 1))
             f.write(json.dumps({"id": f"q{j}", "points": pts.tolist()}) + "\n")
 
+    # the CLI runs the package these tests import, wherever it was found
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dictionary.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
     def one_run():
         out = tmp_path / "idx.annc"
         build = subprocess.run(
             [sys.executable, "-m", "curveann.cli", "build", "--input", str(data),
              "--radius", "1", "--epsilon", "1", "--backend", "trie", "--out", str(out)],
-            capture_output=True, check=True,
+            capture_output=True, check=True, env=env,
         )
         query = subprocess.run(
             [sys.executable, "-m", "curveann.cli", "query", "--index", str(out),
              "--queries", str(queries), "--backend", "trie"],
-            capture_output=True, check=True,
+            capture_output=True, check=True, env=env,
         )
         return build.stdout, query.stdout, out.read_bytes()
 

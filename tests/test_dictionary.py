@@ -174,13 +174,28 @@ def test_trie_remove_unlinks_branches():
     dct.insert_all_first_wins((K1,), "A")
     dct.insert_all_first_wins((K2,), "B")
     before = dct.node_count
-    assert dct.release((K2,), dct.lookup(K2)) == {K2}
+    assert dct.release((K2,), dct.lookup(K2)) == 1
     assert dct.lookup(K2) is None
     assert dct.lookup(K1) == "A"
     assert dct.node_count < before
     after = dct.node_count
-    assert dct.release((K2,), "B") == set()
+    assert dct.release((K2,), "B") == 0
     assert (list(dct.items()), dct.node_count) == ([(K1, "A")], after)
+
+
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_release_by_none_leaves_absent_keys(backend):
+    """An absent key has no payload, not the payload ``None``: releasing
+    it by ``None`` removes nothing, and a stored key is released only by
+    its own payload."""
+    dct = make_dictionary(backend, out_len=1, d=1)
+    key, other = pack(((0,),)), pack(((-2,),))
+    assert dct.release((key,), None) == 0
+    assert dct.insert_all_first_wins((key, other, key), "A") == 2
+    assert dct.release((key, pack(((5,),))), None) == 0
+    assert list(dct.items()) == [(other, "A"), (key, "A")]
+    assert dct.release((key,), "A") == 1
+    assert list(dct.items()) == [(other, "A")] and len(dct) == 1
 
 
 @pytest.mark.parametrize("backend", ["hash", "trie"])
@@ -595,8 +610,10 @@ def test_random_operations_keep_the_backends_equal(mode, out_len, d):
                     getattr(dct, op)(*args)
             else:
                 results.append(getattr(dct, op)(*args))
-        if absent or results == [set(), set()]:
+        if absent or results == [0, 0]:
             assert list(hashed.items()) == before
+        if op in ("insert_all_first_wins", "release"):  # the entries stored or removed
+            assert results[0] == abs(len(hashed) - len(before))
         assert results[:1] == results[1:]
         assert list(tree.items()) == list(hashed.items())
         assert len(tree) == len(hashed) == len(list(hashed.items()))
@@ -641,12 +658,14 @@ def test_release_is_a_lookup_then_remove_per_key(backend):
         released = set()
         for key in batch:
             if twin.lookup(key) == owner:
-                assert twin.release((key,), owner) == {key}
+                assert twin.release((key,), owner) == 1
                 released.add(key)
         want = {key for key in batch if model.get(key) == owner}
         for key in want:
             del model[key]
-        assert dct.release(batch, owner) == released == want
+        before = dict(dct.items())
+        assert dct.release(batch, owner) == len(want)
+        assert before.keys() - dict(dct.items()).keys() == released == want
         assert list(dct.items()) == list(twin.items())
         assert dict(dct.items()) == model
         assert len(dct) == len(twin) == len(model)
@@ -816,10 +835,12 @@ def apply_both(batch, single, model, op, cands, owner):
     keys = list(cands)
     assert len(keys) == len(cands)
     if op == "insert":
-        batch.insert_all_first_wins(cands, owner)
+        size = len(model)
+        added = batch.insert_all_first_wins(cands, owner)
         for key in keys:
             single.insert_all_first_wins((key,), owner)
             model.setdefault(key, owner)
+        assert added == len(model) - size
     elif op == "increment":
         batch.increment_all(cands)
         for key in keys:
@@ -829,9 +850,12 @@ def apply_both(batch, single, model, op, cands, owner):
         released = set()
         for key in keys:
             if single.lookup(key) == owner:
-                assert single.release((key,), owner) == {key}
+                assert single.release((key,), owner) == 1
                 released.add(key)
-        assert batch.release(cands, owner) == released == {k for k in keys if model.get(k) == owner}
+        before = dict(batch.items())
+        assert batch.release(cands, owner) == len(released)
+        assert (before.keys() - dict(batch.items()).keys() == released
+                == {k for k in keys if model.get(k) == owner})
         for key in released:
             del model[key]
     else:

@@ -145,6 +145,14 @@ def test_parse_metric():
         geometry.parse_metric("nope")
 
 
+@pytest.mark.parametrize("cid", [None, 5, ("a",), b"a"], ids=["None", "int", "tuple", "bytes"])
+def test_curve_ids_are_str(cid):
+    """An id is a payload of an index, where ``None`` reads as no match,
+    and a UTF-8 string of its file."""
+    with pytest.raises(TypeError, match="curve id must be a str"):
+        geometry.Curve(cid, [[0.0]])
+
+
 def test_curve_rejects_bad_input():
     with pytest.raises(ValueError):
         geometry.Curve("x", [])

@@ -634,6 +634,23 @@ def test_a_delete_after_load_enumerates_only_the_curve(tmp_path, monkeypatch):
     check_equals_a_fresh_fit(loaded, curves[2:])
 
 
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_a_delete_stops_once_every_released_key_is_stored_again(backend, monkeypatch):
+    """Three identical curves: ``a1`` takes back every key ``a0`` released,
+    so deleting ``a0`` enumerates ``a0`` and ``a1`` at each query length and
+    never ``a2``."""
+    curves = [Curve(f"a{i}", [[0.0], [1.0]]) for i in range(3)]
+    idx = CurveIndex(epsilon=1.0, r=1.0, query_lengths=[1, 2], backend=backend).fit(curves)
+    calls = []
+    enumerate_candidates = candidates.enumerate_candidates
+    monkeypatch.setattr(candidates, "enumerate_candidates",
+                        lambda req: calls.append(req.anchor.id) or enumerate_candidates(req))
+    idx.delete_curve("a0")
+    assert calls == ["a0", "a1", "a0", "a1"]
+    check_equals_a_fresh_fit(idx, curves[1:])
+    assert {cid for dct in idx.dicts_.values() for _, cid in dct.items()} == {"a1"}
+
+
 def test_dtw_short_queries_keep_the_guarantee():
     """Length-1 queries over length-6 inputs: snapping error must be budgeted
     over the 6 pairs their alignments have, not over 2 * (query length)."""
