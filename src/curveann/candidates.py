@@ -29,9 +29,9 @@ Cartesian product of each accepted sequence of mask classes into it by
 broadcasting. The finite-p enumerator keeps the accepted pairs of each
 last-level step, at most ``_STEP_PAIRS`` rows, and joins them once at the
 end. No key is made as bytes (the form of ``grid``) until a consumer asks
-for it: the hash dictionary makes them a chunk of rows at a time as it
-folds, and the prefix tree reads its runs of shared heads straight from
-the index rows.
+for it: a dictionary folds the rows one run of a shared head at a time,
+making the bytes of a chunk's heads and tails together, and a tail of one
+vertex is one shared object per pool vertex (``dictionary._DictBase._runs``).
 
 ``CapacityExceeded`` is raised exactly when the key set exceeds
 ``max_candidates``, and says how many keys the anchor needs. For min-max it

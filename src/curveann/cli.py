@@ -139,8 +139,12 @@ def cmd_build(args):
 def _answer_each(args, method, show):
     """Load the index, answer each query with ``method`` and print its id
     and ``show(answer)``; a query the index cannot answer gets an error
-    line on stderr."""
-    answer = getattr(CurveIndex.load(args.index, backend=args.backend), method)
+    line on stderr. ParseError, before any query is read, if the index
+    answers the other command."""
+    idx = CurveIndex.load(args.index, backend=args.backend)
+    if idx._serves != method:
+        raise ParseError(f"{args.index} is an index of mode {idx.mode}: use curveann {idx._serves}")
+    answer = getattr(idx, method)
     for q in read_curve_file(args.queries):
         try:
             got = answer(q)

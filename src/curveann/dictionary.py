@@ -6,12 +6,15 @@ bytes of its vertices' little-endian int64 coordinates, vertex after vertex
 (``grid`` module docstring): the bytes a block stores for it. A dictionary
 takes its key shape, L vertices of d coordinates, when it is made. Payloads
 are either a curve id (near-neighbor mode) or a counter (counting mode).
-The tree's root maps a key's head, the bytes of its first L - 1 vertices,
-to a leaf that maps its last vertex, the final ``8 * d`` bytes, to the
-payload; both are plain dicts. ``items`` and blocks list the entries in
-lexicographic order of the keys' coordinates as integers, which is not the
-order of their bytes, from one sort of their rows (``_ordered``); ``items``
-makes the key bytes of a chunk of them at a time.
+Both backends keep one map of two levels (``_DictBase``): the root maps a
+key's head to a leaf that maps the rest of the key, its tail, to the
+payload; both are plain dicts. The tree's head is the bytes of the key's
+first L - 1 vertices, so a tail is its last vertex. The hash map's head is
+empty, so its one leaf, under ``b""``, maps each whole key. ``items`` and
+blocks list the entries in lexicographic order of the keys' coordinates as
+integers, which is not the order of their bytes, from one sort of their
+rows (``_ordered``); ``items`` makes the key bytes of a chunk of them at a
+time.
 
 Each batch call (``insert_all_first_wins``, ``increment_all``,
 ``decrement_all``, ``release``) takes a ``candidates.CandidateSet``, the
@@ -19,11 +22,11 @@ keys of one candidate request as one array of rows of pool indices, or an
 iterable of keys, which ``_DictBase._batch`` makes into the set of its
 rows. ``insert_all_first_wins`` returns how many keys it stored and
 ``release`` how many it removed; neither copies a key it stores or frees.
-Both backends fold candidate sets only. The hash map folds a set's
-key bytes, made a chunk of rows at a time. The tree folds the rows by
-head: a run of rows whose first L - 1 indices are equal shares one head,
-made as bytes once, and each pool vertex is made as bytes once per set, so
-no key is made per entry.
+A batch is folded one run of rows that share a head at a time: the run's
+head is made as bytes once and its leaf looked up once. A hash-map run is
+a whole chunk of rows, whose keys are made together; a tree run is the
+rows whose first L - 1 indices are equal, and its tails are one shared
+object per pool vertex of the set, so no key is made per entry.
 
 Index file layout, format version 1, little-endian with no padding: a block
 per supported query length L, then the curve registry. A block is the
@@ -49,7 +52,7 @@ one stride, and decodes the first id of a stretch of equal ids only.
 import io
 import struct
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 
 import numpy as np
 
@@ -123,9 +126,15 @@ def _sort_key(rows):
 
 
 class _DictBase:
-    """Shared mode and key-shape bookkeeping for both backends. A key is
-    the ``8 * out_len * d`` bytes of its int64 coordinates (``grid`` module
-    docstring); every key of a dictionary has that shape."""
+    """The storage of both backends: a map of two levels. The root maps a
+    key's head, its first ``_cut`` bytes, to a leaf, a plain dict that maps
+    the rest of the key, its tail, to the payload. Every leaf holds at least
+    one entry: a leaf that empties is deleted from the root. A key is the
+    ``8 * out_len * d`` bytes of its int64 coordinates (``grid`` module
+    docstring); every key of a dictionary has that shape. A backend is
+    where it cuts a key, and its own ``_get``."""
+
+    _cut = 0  # the bytes of a head
 
     def __init__(self, mode=MODE_NN, *, out_len, d):
         if mode not in (MODE_NN, MODE_COUNT):
@@ -135,6 +144,8 @@ class _DictBase:
         self.mode = mode
         self.out_len = out_len
         self.d = d
+        self._root = {}
+        self._size = 0
 
     @property
     def counting(self):
@@ -147,6 +158,9 @@ class _DictBase:
 
     def lookup(self, key):
         return self._get(key)
+
+    def __len__(self):
+        return self._size
 
     # batches, the only calls that change a dictionary. A batch is a
     # ``candidates.CandidateSet``, the key set of one candidate request as
@@ -170,6 +184,30 @@ class _DictBase:
             if not isinstance(key, bytes) or len(key) != size:
                 raise ValueError(f"a key of this dictionary is a bytes string of length {size}")
         return CandidateSet.of(keys, self.out_len, self.d)
+
+    def _runs(self, cands):
+        """The runs of a set's keys that share a head, in order, a chunk of
+        ``CandidateSet.chunks`` at a time: each run's head as bytes and an
+        iterator of its tails, to be read before the next run. Heads are
+        compared as rows of pool indices. Without a head a run is a whole
+        chunk. A tail of one vertex is one shared object per pool vertex,
+        so no key is made per entry."""
+        pool, cut = cands.pool, self._cut // (8 * self.d)  # the head's vertices
+        lasts = gridmod.keys_of(pool) if cut == self.out_len - 1 else None
+        for rows in cands.chunks():
+            if lasts is None:
+                tails = iter(gridmod.keys_of(pool[rows[:, cut:]]))
+            else:
+                tails = map(lasts.__getitem__, rows[:, -1].tolist())
+            if not cut:
+                yield b"", tails
+                continue
+            heads = rows[:, :cut]
+            fresh = (heads[1:] != heads[:-1]).any(axis=1)
+            bounds = np.flatnonzero(np.concatenate(([True], fresh, [True])))
+            for head, size in zip(gridmod.keys_of(pool[heads[bounds[:-1]]]),
+                                  np.diff(bounds).tolist()):
+                yield head, islice(tails, size)
 
     def insert_all_first_wins(self, keys, curve_id):
         """Store ``curve_id`` at each key of a batch that is absent; a
@@ -198,6 +236,97 @@ class _DictBase:
         self._require(False, "release")
         return self._release(self._batch(keys), curve_id)
 
+    def _insert_all(self, cands, payload):
+        root, added = self._root, 0
+        for head, tails in self._runs(cands):
+            leaf = root.setdefault(head, {})
+            size, put = len(leaf), leaf.setdefault
+            for tail in tails:
+                put(tail, payload)
+            added += len(leaf) - size
+        self._size += added
+        return added
+
+    def _increment_all(self, cands):
+        root, added = self._root, 0
+        for head, tails in self._runs(cands):
+            leaf = root.setdefault(head, {})
+            size, get = len(leaf), leaf.get
+            for tail in tails:
+                leaf[tail] = get(tail, 0) + 1
+            added += len(leaf) - size
+        self._size += added
+
+    # A batch that removes entries looks up the leaf of each run once, when
+    # it reaches the run. A leaf that empties is deleted from the root but
+    # stays the run's leaf, which is right: nothing is added during the
+    # batch, so every later key of the run is absent, and a later run of
+    # the same head finds no leaf.
+
+    def _decrement_all(self, cands):
+        root = self._root
+        for head, tails in self._runs(cands):
+            leaf = root.get(head, {})
+            for tail in tails:
+                count = leaf.get(tail)
+                if count is None:
+                    raise KeyError(head + tail)
+                if count > 1:
+                    leaf[tail] = count - 1
+                    continue
+                del leaf[tail]
+                self._size -= 1
+                if not leaf:
+                    del root[head]
+
+    def _release(self, cands, curve_id):
+        root, removed = self._root, 0
+        for head, tails in self._runs(cands):
+            leaf = root.get(head, {})
+            for tail in tails:
+                if leaf.get(tail, _ABSENT) == curve_id:
+                    del leaf[tail]
+                    removed += 1
+                    if not leaf:
+                        del root[head]
+        self._size -= removed
+        return removed
+
+    def _append_sorted(self, rows, payloads):
+        """Store a chunk of a block, whose keys are distinct and absent.
+        Keys whose head is that of the key before them share its leaf,
+        which only the first key of such a run looks up; the last run takes
+        the rest of the chunk, so a chunk of one run is one ``update``.
+        Behind a head, the chunk's keys share one object per distinct tail."""
+        cut, size = self._cut, 8 * self.out_len * self.d
+        parts = np.ascontiguousarray(rows).view([("head", f"V{cut}"), ("tail", f"V{size - cut}")])
+        head, tails = parts["head"][:, 0], parts["tail"][:, 0].tolist()
+        if cut:
+            intern = {}.setdefault
+            tails = map(intern, tails, tails)
+        starts = np.flatnonzero(np.concatenate(([True], head[1:] != head[:-1])))
+        entries, root = zip(tails, payloads), self._root
+        for key, run in zip(head[starts].tolist(), np.diff(starts).tolist() + [None]):
+            root.setdefault(key, {}).update(entries if run is None else islice(entries, run))
+        self._size += len(payloads)
+
+    def _entries(self):
+        """The int64 key rows and the payloads, in one order: the leaves in
+        the root's order, each in its own. The tail columns are the leaves'
+        keys, and the head columns, if any, the root's heads, each repeated
+        once per entry of its leaf; no key is made. Without a head the rows
+        are the tails' own array, not a copy."""
+        root, count, cut = self._root, self._size, self._cut // 8  # the head's columns
+        width, tails = self.out_len * self.d, chain.from_iterable(root.values())
+        if cut:
+            rows = np.empty((count, width), np.int64)
+            sizes = np.fromiter(map(len, root.values()), np.intp, len(root))
+            rows[:, :cut] = np.repeat(gridmod.rows_of(root.keys(), cut, len(root)), sizes, axis=0)
+            rows[:, cut:] = gridmod.rows_of(tails, width - cut, count)
+        else:
+            rows = gridmod.rows_of(tails, width, count)
+        return rows, list(chain.from_iterable(map(dict.values, root.values())))
+
     def _ordered(self):
         """The entries as int64 key rows and payloads, both in the order the
         backend holds them, and the order of the keys' coordinates, compared
@@ -221,211 +350,33 @@ class _DictBase:
 
 
 class HashedDictionary(_DictBase):
-    """Hash-map backend: the keys as they are, in one dict. A batch makes
-    its keys' bytes a chunk at a time as it folds them
-    (``CandidateSet.__iter__``)."""
-
-    def __init__(self, mode=MODE_NN, *, out_len, d):
-        super().__init__(mode, out_len=out_len, d=d)
-        self._map = {}
+    """Hash-map backend: the head is empty, so the root's one leaf, under
+    ``b""``, maps each whole key to its payload, and a lookup probes it
+    with the key as it is."""
 
     def _get(self, key):
-        return self._map.get(key)
-
-    def _insert_all(self, cands, payload):
-        stored, size = self._map, len(self._map)
-        put = stored.setdefault
-        for key in cands:
-            put(key, payload)
-        return len(stored) - size
-
-    def _increment_all(self, cands):
-        stored = self._map
-        get = stored.get
-        for key in cands:
-            stored[key] = get(key, 0) + 1
-
-    def _decrement_all(self, cands):
-        stored = self._map
-        for key in cands:
-            count = stored[key]
-            if count > 1:
-                stored[key] = count - 1
-            else:
-                del stored[key]
-
-    def _release(self, cands, curve_id):
-        # each key is looked up and deleted in one step, while its slot is
-        # still in cache
-        stored, size = self._map, len(self._map)
-        get = stored.get
-        for key in cands:
-            if get(key, _ABSENT) == curve_id:
-                del stored[key]
-        return size - len(stored)
-
-    def _append_sorted(self, rows, payloads):
-        """Store a chunk of a block, whose keys are distinct and absent."""
-        self._map.update(zip(gridmod.keys_of(rows), payloads))
-
-    def _entries(self):
-        """The int64 key rows and the payloads, in one order."""
-        rows = gridmod.rows_of(self._map.keys(), self.out_len * self.d, len(self._map))
-        return rows, list(self._map.values())
-
-    def __len__(self):
-        return len(self._map)
+        try:
+            return self._root[b""].get(key)
+        except KeyError:  # an empty table has no leaf
+            return None
 
 
 class PrefixTreeDictionary(_DictBase):
-    """Prefix-tree backend of two levels.
-
-    The root is a plain dict from a key's head, the bytes of its first
-    ``out_len - 1`` vertices (``b""`` when ``out_len`` is 1), to a leaf: a
-    plain dict from the key's last vertex, its final ``8 * d`` bytes, to
-    the payload. A lookup is two probes. Every leaf holds at least one
-    entry: a leaf that empties is deleted from the root. Last vertices are
-    shared objects, one per pool vertex of a batch or per distinct vertex
-    of a load chunk, so an entry costs no object beyond its slot in a leaf.
-    A batch is folded from its rows of pool indices: the keys of a run of
-    rows with one head share a leaf, which the run looks up once, and no
-    key is made per entry. A block is written from int64 rows read off the
-    heads and the leaves' vertices, again with no key made per entry.
-    """
+    """Prefix-tree backend of two levels: a key's head is its first
+    ``out_len - 1`` vertices (``b""`` when ``out_len`` is 1), and its tail
+    the last vertex, its final ``8 * d`` bytes. A lookup is two probes.
+    Tails are shared objects, one per pool vertex of a batch or per
+    distinct vertex of a load chunk, so an entry costs no object beyond its
+    slot in a leaf."""
 
     def __init__(self, mode=MODE_NN, *, out_len, d):
         super().__init__(mode, out_len=out_len, d=d)
-        self._root = {}
-        self._size = 0
-        self._cut = 8 * d * (out_len - 1)  # the length of a head
+        self._cut = 8 * d * (out_len - 1)
 
     def _get(self, key):
         cut = self._cut
         leaf = self._root.get(key[:cut])
         return None if leaf is None else leaf.get(key[cut:])
-
-    def _runs(self, cands):
-        """The runs of a batch's keys that share a head, a chunk of
-        ``CandidateSet.chunks`` at a time: per chunk, the head of each run
-        as bytes, the run's length, and the pool index of each key's last
-        vertex. Heads are compared as rows of pool indices."""
-        pool = cands.pool
-        for rows in cands.chunks():
-            if not self._cut:
-                yield [b""], [len(rows)], rows[:, 0].tolist()
-                continue
-            heads = rows[:, :-1]
-            fresh = (heads[1:] != heads[:-1]).any(axis=1)
-            bounds = np.flatnonzero(np.concatenate(([True], fresh, [True])))
-            yield (gridmod.keys_of(pool[heads[bounds[:-1]]]), np.diff(bounds).tolist(),
-                   rows[:, -1].tolist())
-
-    def _slots(self, cands):
-        """The leaf, made if absent, and the last vertex of each key of a
-        batch, in order. The keys of the batch share one object per pool
-        vertex as their last vertices."""
-        root, lasts = self._root, gridmod.keys_of(cands.pool)
-        return chain.from_iterable(
-            zip(chain.from_iterable(map(repeat, [root.setdefault(h, {}) for h in heads], sizes)),
-                map(lasts.__getitem__, ends))
-            for heads, sizes, ends in self._runs(cands))
-
-    def _insert_all(self, cands, payload):
-        added = 0
-        for leaf, last in self._slots(cands):
-            if last not in leaf:
-                leaf[last] = payload
-                added += 1
-        self._size += added
-        return added
-
-    def _increment_all(self, cands):
-        added = 0
-        for leaf, last in self._slots(cands):
-            count = leaf.get(last)
-            if count is None:
-                leaf[last] = 1
-                added += 1
-            else:
-                leaf[last] = count + 1
-        self._size += added
-
-    # A batch that removes entries looks up the leaf of each run of keys
-    # that share a head once, when it reaches the run. A leaf that empties
-    # is deleted from the root but stays the run's leaf, which is right:
-    # nothing is added during the batch, so every later key of the run is
-    # absent, and a later run of the same head finds no leaf.
-
-    def _run_leaves(self, cands):
-        """Each run of a batch's keys that share a head: the head, its leaf
-        (an empty dict if absent) and the run's last vertices."""
-        root, lasts = self._root, gridmod.keys_of(cands.pool)
-        for heads, sizes, ends in self._runs(cands):
-            ends = map(lasts.__getitem__, ends)
-            for head, size in zip(heads, sizes):
-                yield head, root.get(head, {}), islice(ends, size)
-
-    def _decrement_all(self, cands):
-        root = self._root
-        for head, leaf, lasts in self._run_leaves(cands):
-            for last in lasts:
-                count = leaf.get(last)
-                if count is None:
-                    raise KeyError(head + last)
-                if count > 1:
-                    leaf[last] = count - 1
-                    continue
-                del leaf[last]
-                self._size -= 1
-                if not leaf:
-                    del root[head]
-
-    def _release(self, cands, curve_id):
-        root, removed = self._root, 0
-        for head, leaf, lasts in self._run_leaves(cands):
-            for last in lasts:
-                if leaf.get(last, _ABSENT) == curve_id:
-                    del leaf[last]
-                    removed += 1
-                    if not leaf:
-                        del root[head]
-        self._size -= removed
-        return removed
-
-    def _append_sorted(self, rows, payloads):
-        """Store a chunk of a block, whose keys are distinct and absent.
-        Keys whose head is that of the key before them share its leaf,
-        which only the first key of such a run looks up, and the chunk's
-        keys share one object per distinct last vertex."""
-        rows = np.ascontiguousarray(rows)
-        parts = rows.view([("head", f"V{self._cut}"), ("last", f"V{8 * self.d}")])[:, 0]
-        head = parts["head"]
-        starts = np.flatnonzero(np.concatenate(([True], head[1:] != head[:-1])))
-        root = self._root
-        leaves = [root.setdefault(key, {}) for key in head[starts].tolist()]
-        sizes = np.diff(starts, append=len(rows)).tolist()
-        intern = {}.setdefault
-        for leaf, last, payload in zip(chain.from_iterable(map(repeat, leaves, sizes)),
-                                       parts["last"].tolist(), payloads):
-            leaf[intern(last, last)] = payload
-        self._size += len(payloads)
-
-    def _entries(self):
-        """The int64 key rows and the payloads, in one order: the leaves in
-        the root's order, each in its own. The head columns are the root's
-        heads, each repeated once per entry of its leaf, and the last
-        columns the leaves' vertices; no key is made."""
-        root, count = self._root, self._size
-        rows = np.empty((count, self.out_len * self.d), np.int64)
-        cut = self._cut // 8  # the head's columns
-        if cut:
-            sizes = np.fromiter(map(len, root.values()), np.intp, len(root))
-            rows[:, :cut] = np.repeat(gridmod.rows_of(root.keys(), cut, len(root)), sizes, axis=0)
-        rows[:, cut:] = gridmod.rows_of(chain.from_iterable(root.values()), self.d, count)
-        return rows, list(chain.from_iterable(map(dict.values, root.values())))
-
-    def __len__(self):
-        return self._size
 
     @property
     def node_count(self):

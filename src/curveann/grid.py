@@ -56,12 +56,12 @@ class GridSpec:
     pairs: Optional[int] = None
 
     def __post_init__(self):
-        if self.edge <= 0:
-            raise ValueError("grid edge must be positive")
+        if not 0 < self.edge < math.inf:
+            raise ValueError("grid edge must be positive and finite")
         if not 0 < self.epsilon <= 1:
             raise ValueError("epsilon must be in (0, 1]")
-        if self.r <= 0:
-            raise ValueError("r must be positive")
+        if not 0 < self.r < math.inf:
+            raise ValueError("r must be positive and finite")
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if self.pairs is not None and self.pairs < 1:

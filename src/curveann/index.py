@@ -121,8 +121,8 @@ class CurveIndex:
         p = geometry.parse_metric(self.metric)
         if not 0 < self.epsilon <= 1:
             raise ValueError("epsilon must be in (0, 1]")
-        if self.r <= 0:
-            raise ValueError("r must be positive")
+        if not 0 < self.r < math.inf:
+            raise ValueError("r must be positive and finite")
         if self.mode not in ("nn", "count", "asym"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "asym":

@@ -220,6 +220,9 @@ def test_k_outside_the_asymmetric_mode_is_a_usage_error(tmp_path, capsys, comman
     # --k selects the asymmetric mode, whose only query length is k
     (["--k", "2", "--lengths", "3"],
      "error: query_lengths is not for the asymmetric mode, which answers length-k queries only"),
+    # a later --radius overrides --radius 1
+    (["--radius", "inf"], "error: r must be positive and finite"),
+    (["--radius", "nan"], "error: r must be positive and finite"),
 ])
 def test_bad_lengths_and_metrics_are_usage_errors(tmp_path, capsys, flags, error):
     inp = curve_file(tmp_path, [{"id": "a", "points": [[0.0], [1.0]]}])
@@ -231,6 +234,22 @@ def test_bad_lengths_and_metrics_are_usage_errors(tmp_path, capsys, flags, error
     assert stdout == ""
     assert stderr.splitlines() == [error]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("built, command, serves", [("nn", "count", "query"),
+                                                     ("count", "query", "count")])
+def test_a_command_for_the_other_mode_is_a_usage_error(tmp_path, capsys, built, command, serves):
+    """``count`` on a near-neighbor index, or ``query`` on a counting one,
+    ends with one error line and exit code 2 before it reads the queries:
+    a missing query file is not reported."""
+    inp = curve_file(tmp_path, [{"id": "a", "points": [[0.0], [1.0]]}])
+    out = str(tmp_path / "idx.annc")
+    run(["build", "--input", inp, "--radius", "1", "--mode", built, "--out", out], capsys)
+    queries = str(tmp_path / "missing.jsonl")
+    code, stdout, stderr = run([command, "--index", out, "--queries", queries], capsys)
+    assert code == cli.EXIT_PARSE
+    assert stdout == ""
+    assert stderr.splitlines() == [f"error: {out} is an index of mode {built}: use curveann {serves}"]
 
 
 def test_format_exit_code(tmp_path, capsys):

@@ -261,9 +261,15 @@ def test_serialized_bytes_identical_across_backends():
 
 
 def block_bytes(mode, keys, payloads):
-    """A block written from ``keys`` (given in sorted order) and payloads."""
+    """A block written from ``keys`` and payloads, through one-key batch
+    calls: a count is that many ``increment_all`` calls."""
     dct = make_dictionary("hash", mode=mode, out_len=2, d=1)
-    dct._map.update(zip(keys, payloads))
+    for key, payload in zip(keys, payloads):
+        if mode == "count":
+            for _ in range(payload):
+                dct.increment_all((key,))
+        else:
+            dct.insert_all_first_wins((key,), payload)
     buf = io.BytesIO()
     dictionary.write_block(buf, header(mode=mode), dct)
     return buf.getvalue()

@@ -36,6 +36,18 @@ def test_edge_derivation_finite_p():
         grid.GridSpec.create(epsilon=0.5, r=2.0, d=4, p=1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_a_radius_or_edge_that_is_not_finite_is_rejected(bad):
+    """``create`` made edge inf from r = inf; NaN passed every check."""
+    for p, pairs in ((math.inf, None), (2.0, 4)):
+        with pytest.raises(ValueError, match="edge must be positive and finite"):
+            grid.GridSpec.create(1.0, bad, 1, p, pairs)
+    with pytest.raises(ValueError, match="edge must be positive and finite"):
+        make_grid(bad)
+    with pytest.raises(ValueError, match="r must be positive and finite"):
+        grid.GridSpec(edge=1.0, epsilon=1.0, r=bad, d=1, p=math.inf)
+
+
 def test_a_min_max_edge_is_checked_too():
     """The min-max edge has no free parameter: from_edge accepts only the
     edge ``create`` derives, up to the relative tolerance of finite p."""

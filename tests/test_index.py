@@ -88,6 +88,10 @@ def test_param_validation():
         CurveIndex(epsilon=0.0).fit([Curve("a", [[0.0]])])
     with pytest.raises(ValueError):
         CurveIndex(r=-1.0).fit([Curve("a", [[0.0]])])
+    # an infinite radius made an infinite grid edge, and NaN failed untyped
+    for r in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            CurveIndex(r=r).fit([Curve("a", [[0.0]])])
     with pytest.raises(ValueError):
         CurveIndex(mode="asym", metric=1.0, k=2).fit([Curve("a", [[0.0]])])
     with pytest.raises(ValueError):
@@ -796,15 +800,17 @@ DFD_1 = dict(epsilon=1.0, r=1.0, metric="dfd")
 
 
 @pytest.mark.parametrize("case", ["min-max edge", "id not in the registry", "two blocks of one length",
-                                  "two asymmetric blocks", "registry of another d"])
+                                  "two asymmetric blocks", "registry of another d",
+                                  "infinite r and edge"])
 @pytest.mark.parametrize("backend", ["hash", "trie"])
 def test_load_rejects_files_whose_parts_disagree(tmp_path, backend, case):
     """Each of these files is well-formed bytes that would load an index
     breaking its guarantee or its own registry: a min-max edge ten times
     the grid's (a query at distance 6 then matched, against a guarantee of
     2), a block whose id the registry does not hold, two blocks for one
-    length, an asymmetric file of two lengths, and registry curves of
-    another dimension than the blocks'."""
+    length, an asymmetric file of two lengths, registry curves of another
+    dimension than the blocks', and a header whose r and edge are both inf
+    (inf is the min-max edge of r = inf; that index matched every query)."""
     (block,), registry = _saved_parts(tmp_path, [("a", LINE)], **DFD_1)
     path = tmp_path / "idx.annc"
     path.write_bytes(block + registry)
@@ -818,6 +824,11 @@ def test_load_rejects_files_whose_parts_disagree(tmp_path, backend, case):
         data = other + registry
     elif case == "two blocks of one length":
         data = block + block + registry
+    elif case == "infinite r and edge":
+        at = dictionary._HEADER.size - 24  # the f64 r, before d, L and the edge
+        data = bytearray(block + registry)
+        struct.pack_into("<d", data, at, math.inf)
+        struct.pack_into("<d", data, at + 16, math.inf)
     elif case == "two asymmetric blocks":
         three = [("a", [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])]
         blocks = [_saved_parts(tmp_path, three, mode="asym", k=k, **DFD_1)[0][0] for k in (2, 3)]
@@ -827,7 +838,7 @@ def test_load_rejects_files_whose_parts_disagree(tmp_path, backend, case):
     path.write_bytes(data)
     match = {"min-max edge": "min-max edge", "id not in the registry": "not in the registry",
              "two blocks of one length": "two blocks", "two asymmetric blocks": "asymmetric",
-             "registry of another d": "2-dim"}[case]
+             "registry of another d": "2-dim", "infinite r and edge": "positive and finite"}[case]
     with pytest.raises(CorruptFile, match=match):
         CurveIndex.load(path, backend=backend)
 
@@ -967,12 +978,14 @@ def test_a_fitted_trie_holds_under_100_bytes_an_entry():
 
 
 @pytest.mark.parametrize("mode", ["nn", "count"])
-def test_a_trie_holds_no_more_after_inserts_and_deletes(mode):
+@pytest.mark.parametrize("backend", ["hash", "trie"])
+def test_a_dictionary_holds_no_more_after_inserts_and_deletes(backend, mode):
     """Inserting and then deleting a curve far from the fitted one leaves a
-    trie of the same entries and about the same bytes, 200 times over. A
-    table of every last vertex ever folded held about 2 KB more a pair
-    here. A dict keeps its size once emptied, so the bytes are compared
-    from after two pairs, which size the root for one such curve."""
+    dictionary of the same entries and about the same bytes, 200 times
+    over. A trie's table of every last vertex ever folded held about 2 KB
+    more a pair here. A dict keeps its size once emptied, so the bytes are
+    compared from after two pairs, which size the root (and the hash
+    table's one leaf) for one such curve."""
     base = Curve("a", [[0.0, 0.0], [1.0, 0.5], [2.0, 0.0]])
 
     def churn(i):
@@ -983,7 +996,7 @@ def test_a_trie_holds_no_more_after_inserts_and_deletes(mode):
     gc.collect()
     tracemalloc.start()
     try:
-        idx = CurveIndex(epsilon=1.0, r=1.0, mode=mode, backend="trie").fit([base])
+        idx = CurveIndex(epsilon=1.0, r=1.0, mode=mode, backend=backend).fit([base])
         entries = dict(idx.dicts_[3].items())
         churn(0)
         churn(1)
