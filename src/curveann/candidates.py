@@ -11,10 +11,13 @@ the alignment-feasibility dynamic program of the metric itself:
 * finite p: the row of minimal partial p-th-power costs over anchor
   prefixes. Prefixes advance in chunks: each step extends a bounded number
   of (prefix, pool vertex) pairs at once, with numpy arrays, by the same
-  double operations as the scalar recurrence. The first and the last
-  vertex of a candidate are tried only where their cost to the first and
-  the last anchor vertex, which they must pair with, leaves room in the
-  budget.
+  double operations as the scalar recurrence. A step's pairs belong to a
+  contiguous range of the chunk's prefixes, so it builds them with
+  ``repeat`` and ``take``, with no search per pair and no fancy indexing;
+  where the bound cuts a chunk changes neither the pairs nor their order.
+  The first and the last vertex of a candidate are tried only where their
+  cost to the first and the last anchor vertex, which they must pair with,
+  leaves room in the budget.
 
 A branch dies as soon as the reachable set empties (or the row minimum
 exceeds the budget); a completed curve is accepted exactly when the full
@@ -279,9 +282,15 @@ def enumerate_lp(req):
     the cost of ``v`` to its nearest anchor vertex; the first vertex is
     tested by its cost to the first anchor vertex, and the last vertex,
     which pairs with the last anchor vertex, by ``row_min + cost[m-1, v]``.
-    A step extends at most ``_STEP_PAIRS`` pairs and computes their new rows
-    column by column with the double operations of the scalar recurrence: a
-    sequential sum for the first vertex, then
+    The pairs of a chunk are taken in order, prefix after prefix, and a step
+    extends at most ``_STEP_PAIRS`` of them: a contiguous range of
+    prefixes, found by two scalar searches, whose first and last pair
+    counts are clipped to the step. Its prefix columns and DP rows are
+    repeated once per pair (``np.repeat``) and its pool costs taken per
+    pair (``take``), so the pairs and their order do not depend on the
+    bound. A step computes the new rows column by column with the double
+    operations of the scalar recurrence: a sequential sum for the first
+    vertex, then
     ``w[i] + min(row[i], row[i-1], new[i-1])``. Prefixes whose new row
     minimum exceeds the slack budget die; the others form the next chunk. A
     completed row is accepted when its total is at most the radius (p = 1),
@@ -335,7 +344,8 @@ class _LpSteps:
         n_first = int(np.searchsorted(self.cost[0][order], self.budget_slack, side="right"))
         for lo in range(0, n_first, _STEP_PAIRS):
             vtx = order[lo : lo + _STEP_PAIRS]
-            self.settle(first[:, vtx], np.empty((0, 1), np.intp), np.zeros(len(vtx), np.intp), vtx)
+            self.settle(first.take(vtx, axis=1), np.empty((0, 1), np.intp),
+                        np.zeros(len(vtx), np.intp), vtx)
         return CandidateSet(self.pool, np.concatenate(self.parts), self.req.out_len)
 
     def extend(self, rows, row_min, prefix):
@@ -350,17 +360,25 @@ class _LpSteps:
         last = prefix.shape[0] + 1 == self.req.out_len
         counts = np.searchsorted(self.last_cost if last else self.mind, reach, side="right")
         ends = np.cumsum(counts)
+        starts = ends - counts  # the first pair of each prefix
         n_pairs = int(ends[-1])
         m = rows.shape[0]
         for lo in range(0, n_pairs, _STEP_PAIRS):
-            flat = np.arange(lo, min(lo + _STEP_PAIRS, n_pairs))
-            src = np.searchsorted(ends, flat, side="right")
-            vtx = flat - (ends[src] - counts[src])
+            hi = min(lo + _STEP_PAIRS, n_pairs)
+            # the step's pairs belong to the prefixes s0 to s1 - 1, whose
+            # first and last counts are clipped to the step
+            s0 = int(np.searchsorted(ends, lo, side="right"))
+            s1 = int(np.searchsorted(ends, hi - 1, side="right")) + 1
+            taken = counts[s0:s1].copy()
+            taken[0] -= lo - starts[s0]
+            taken[-1] -= ends[s1 - 1] - hi
+            src = np.repeat(np.arange(s0, s1), taken)
+            vtx = np.arange(lo, hi) - np.repeat(starts[s0:s1], taken)
             if last:
-                vtx = self.last_order[vtx]
-            prev = rows[:, src]
+                vtx = self.last_order.take(vtx)
+            prev = np.repeat(rows[:, s0:s1], taken, axis=1)
             best = np.minimum(prev[1:], prev[:-1])
-            new = self.cost[:, vtx]
+            new = self.cost.take(vtx, axis=1)
             new[0] += prev[0]
             for i in range(1, m):
                 np.minimum(best[i - 1], new[i - 1], out=best[i - 1])
@@ -384,8 +402,8 @@ class _LpSteps:
                                    dtype=bool)]
             if len(hit):
                 part = np.empty((len(hit), req.out_len), np.intp)
-                part[:, :-1] = prefix[:, src[hit]].T
-                part[:, -1] = vtx[hit]
+                part[:, :-1] = prefix.take(src.take(hit), axis=1).T
+                part[:, -1] = vtx.take(hit)
                 self.parts.append(part)
                 self.count += len(hit)
                 _guard(req, self.count, exact=False)
@@ -393,5 +411,5 @@ class _LpSteps:
         row_min = new.min(axis=0)
         live = np.flatnonzero(row_min <= self.budget_slack)
         if len(live):
-            self.extend(new[:, live], row_min[live],
-                        np.vstack([prefix[:, src[live]], vtx[live]]))
+            self.extend(new.take(live, axis=1), row_min.take(live),
+                        np.vstack([prefix.take(src.take(live), axis=1), vtx.take(live)]))

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -165,6 +166,12 @@ def cmd_count(args):
 
 
 def cmd_simplify(args):
+    if args.k < 1:
+        raise ParseError("k must be >= 1")
+    if not 0 < args.radius < math.inf:
+        raise ParseError("r must be positive and finite")
+    if not 0 < args.epsilon <= 1:
+        raise ParseError("epsilon must be in (0, 1]")
     for c in read_curve_file(args.input):
         pi = simpmod.simplify_curve(c.points, args.k, args.radius, eps=args.epsilon)
         if pi is None:
@@ -201,6 +208,11 @@ def _bench_workload(rng, n, m, d, r, k=None):
 
 
 def cmd_bench(args):
+    for name in ("n", "m", "d"):
+        if getattr(args, name) < 1:
+            raise ParseError(f"{name} must be >= 1")
+    if args.k is not None and args.k > args.m:
+        raise ParseError(f"k must be at most m = {args.m}")
     rng = np.random.default_rng(args.seed)
     idx = _index_from_args(args)
     p = geometry.parse_metric(args.metric)

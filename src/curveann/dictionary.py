@@ -23,10 +23,13 @@ iterable of keys, which ``_DictBase._batch`` makes into the set of its
 rows. ``insert_all_first_wins`` returns how many keys it stored and
 ``release`` how many it removed; neither copies a key it stores or frees.
 A batch is folded one run of rows that share a head at a time: the run's
-head is made as bytes once and its leaf looked up once. A hash-map run is
-a whole chunk of rows, whose keys are made together; a tree run is the
-rows whose first L - 1 indices are equal, and its tails are one shared
-object per pool vertex of the set, so no key is made per entry.
+head is made as bytes once and its leaf looked up once. The tails of a
+chunk of rows are made as one list, and a run's tails are a slice of it.
+A hash-map run is a whole chunk of rows, whose keys are made together; a
+tree run is the rows whose first L - 1 indices are equal, and its tails
+are one shared object per pool vertex of the set, so no key is made per
+entry. A count fold counts each run into its leaf in C
+(``collections._count_elements``); the nn/asym folds keep a loop per key.
 
 Index file layout, format version 1, little-endian with no padding: a block
 per supported query length L, then the curve registry. A block is the
@@ -51,6 +54,7 @@ one stride, and decodes the first id of a stretch of equal ids only.
 
 import io
 import struct
+from collections import _count_elements
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -187,27 +191,28 @@ class _DictBase:
 
     def _runs(self, cands):
         """The runs of a set's keys that share a head, in order, a chunk of
-        ``CandidateSet.chunks`` at a time: each run's head as bytes and an
-        iterator of its tails, to be read before the next run. Heads are
-        compared as rows of pool indices. Without a head a run is a whole
-        chunk. A tail of one vertex is one shared object per pool vertex,
-        so no key is made per entry."""
+        ``CandidateSet.chunks`` at a time: each run's head as bytes and its
+        tails as a list, a slice of one list of the chunk's tails. Heads
+        are compared as rows of pool indices. Without a head a run is a
+        whole chunk, and its tails are that list. A tail of one vertex is
+        one shared object per pool vertex, so no key is made per entry."""
         pool, cut = cands.pool, self._cut // (8 * self.d)  # the head's vertices
-        lasts = gridmod.keys_of(pool) if cut == self.out_len - 1 else None
+        # the key of each pool vertex, when a tail is one vertex
+        lasts = np.array(gridmod.keys_of(pool), object) if cut == self.out_len - 1 else None
         for rows in cands.chunks():
             if lasts is None:
-                tails = iter(gridmod.keys_of(pool[rows[:, cut:]]))
+                tails = gridmod.keys_of(pool[rows[:, cut:]])
             else:
-                tails = map(lasts.__getitem__, rows[:, -1].tolist())
+                tails = lasts.take(rows[:, -1]).tolist()
             if not cut:
                 yield b"", tails
                 continue
             heads = rows[:, :cut]
             fresh = (heads[1:] != heads[:-1]).any(axis=1)
-            bounds = np.flatnonzero(np.concatenate(([True], fresh, [True])))
-            for head, size in zip(gridmod.keys_of(pool[heads[bounds[:-1]]]),
-                                  np.diff(bounds).tolist()):
-                yield head, islice(tails, size)
+            bounds = np.flatnonzero(np.concatenate(([True], fresh, [True]))).tolist()
+            for head, start, stop in zip(gridmod.keys_of(pool[heads[bounds[:-1]]]),
+                                         bounds, bounds[1:]):
+                yield head, tails[start:stop]
 
     def insert_all_first_wins(self, keys, curve_id):
         """Store ``curve_id`` at each key of a batch that is absent; a
@@ -251,9 +256,8 @@ class _DictBase:
         root, added = self._root, 0
         for head, tails in self._runs(cands):
             leaf = root.setdefault(head, {})
-            size, get = len(leaf), leaf.get
-            for tail in tails:
-                leaf[tail] = get(tail, 0) + 1
+            size = len(leaf)
+            _count_elements(leaf, tails)
             added += len(leaf) - size
         self._size += added
 

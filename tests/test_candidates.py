@@ -163,6 +163,54 @@ def test_enumerate_lp_on_spread_anchors_matches_brute_force(p, monkeypatch):
                 assert len(got) == len(expect) and unpack_all(got, 1) == expect, (out_len, trial)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_steps_of_any_size_return_the_same_rows_in_order(p, monkeypatch):
+    """A step is a contiguous run of the chunk's (prefix, pool vertex)
+    pairs, however the bound cuts it. Steps of 1, 2, 3 and 7 pairs return
+    the rows of the default steps, order included. The anchors give, at
+    some extension, a prefix with no pair between prefixes with pairs,
+    and steps that start and end inside one prefix's pairs."""
+    counts = []  # per extension, the pairs of each prefix
+    extend = candidates._LpSteps.extend
+
+    def spied(self, rows, row_min, prefix):
+        last = prefix.shape[0] + 1 == self.req.out_len
+        reach = self.budget_slack - row_min + self.budget_slack * 1e-12
+        counts.append(np.searchsorted(self.last_cost if last else self.mind, reach,
+                                      side="right"))
+        return extend(self, rows, row_min, prefix)
+
+    monkeypatch.setattr(candidates._LpSteps, "extend", spied)
+    default = candidates._STEP_PAIRS
+    for out_len in (2, 3, 4):
+        for points, radius in (([[0.0], [0.45], [1.3]], 1.2),
+                               ([[0.0], [0.4], [0.8], [0.4]], 1.0)):
+            g = grid.GridSpec.create(epsilon=1.0, r=1.0, d=1, p=p,
+                                     pairs=geometry.max_non_redundant_pairs(len(points), out_len))
+            req = request(Curve("a", points), out_len, radius, g)
+            rows = []
+            for step_pairs in (default, 1, 2, 3, 7):
+                monkeypatch.setattr(candidates, "_STEP_PAIRS", step_pairs)
+                rows.append(candidates.enumerate_lp(req).rows)
+            assert len(rows[0]) > 0
+            for step_pairs, other in zip((1, 2, 3, 7), rows[1:]):
+                assert np.array_equal(other, rows[0]), (out_len, points, step_pairs)
+
+    def gap(c):  # a prefix with no pair, between prefixes with pairs
+        before = np.maximum.accumulate(c)[:-2] > 0
+        after = np.maximum.accumulate(c[::-1])[::-1][2:] > 0
+        return bool((before & (c[1:-1] == 0) & after).any())
+
+    def inside(c, step_pairs):  # a step strictly inside one prefix's pairs
+        ends = np.cumsum(c)
+        start = ((ends - c) // step_pairs + 1) * step_pairs
+        return bool((start + step_pairs < ends).any())
+
+    assert any(gap(c) for c in counts if len(c) > 2)
+    for step_pairs in (1, 2, 3):
+        assert any(inside(c, step_pairs) for c in counts)
+
+
 def test_the_last_vertex_is_tried_only_near_the_last_anchor_vertex(monkeypatch):
     """The last vertex of a key pairs with the last anchor vertex. On a
     spread anchor, trying it only where that cost leaves room in the budget

@@ -167,6 +167,24 @@ def test_simplify_command(tmp_path, capsys):
     assert lines[1] == "wide\tINFEASIBLE"
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--k", "0", "--radius", "1"], "error: k must be >= 1"),
+    (["--k", "2", "--radius", "-1"], "error: r must be positive and finite"),
+    (["--k", "2", "--radius", "0"], "error: r must be positive and finite"),
+    (["--k", "2", "--radius", "inf"], "error: r must be positive and finite"),
+    (["--k", "2", "--radius", "nan"], "error: r must be positive and finite"),
+    (["--k", "2", "--radius", "1", "--epsilon", "0"], "error: epsilon must be in (0, 1]"),
+    (["--k", "2", "--radius", "1", "--epsilon", "1.5"], "error: epsilon must be in (0, 1]"),
+    (["--k", "2", "--radius", "1", "--epsilon", "nan"], "error: epsilon must be in (0, 1]"),
+])
+def test_bad_simplify_arguments_are_usage_errors(tmp_path, capsys, flags, error):
+    inp = curve_file(tmp_path, [{"id": "a", "points": [[0.0], [1.0], [2.0]]}])
+    code, stdout, stderr = run(["simplify", "--input", inp] + flags, capsys)
+    assert code == cli.EXIT_PARSE
+    assert stdout == ""
+    assert stderr.splitlines() == [error]
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
     path.write_text("{broken\n")
@@ -311,6 +329,19 @@ def test_bench_runs_clean(tmp_path, capsys):
     with open(csv_path) as f:
         header = f.readline().strip()
     assert header == "workload,metric,eps,r,n,m,d,violations,false_pos,p50_us,p99_us"
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--n", "0"], "error: n must be >= 1"),
+    (["--m", "0"], "error: m must be >= 1"),
+    (["--d", "0"], "error: d must be >= 1"),
+    (["--m", "3", "--k", "4"], "error: k must be at most m = 3"),
+])
+def test_bad_bench_sizes_are_usage_errors(capsys, flags, error):
+    code, stdout, stderr = run(["bench", "--radius", "1", "--seed", "1"] + flags, capsys)
+    assert code == cli.EXIT_PARSE
+    assert stdout == ""
+    assert stderr.splitlines() == [error]
 
 
 def test_bench_counting_mode(capsys):
